@@ -15,39 +15,34 @@ Fig. 13.
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 import numpy as np
 
 from repro import config
 from repro.dsm.sparse_embedding import WholeEmbedding
-from repro.faults import FaultInjector, FaultPlan, RankFailureError
+from repro.faults import FaultPlan
 from repro.graph import MultiGpuGraphStore
 from repro.graph.datasets import SyntheticDataset
 from repro.hardware import SimNode
 from repro.nn.models import build_model
 from repro.nn.optim import Adam
-from repro.nn.sparse_optim import average_row_grads
 from repro.ops.neighbor_sampler import NeighborSampler
-from repro.train.checkpoint import save_checkpoint
-from repro.train.metrics import roc_auc
-from repro.train.pipeline import (
-    PipelinedExecutor,
-    run_iteration,
-    train_batch,
-)
 from repro.train.plans.cluster import ClusterDataParallelPlan
-from repro.train.trainer import (
-    SPARSE_OPTIMIZERS,
-    linkpred_forward,
-    sample_link_batch,
-)
+from repro.train.trainer import SPARSE_OPTIMIZERS, TrainerBase
 from repro.utils.rng import RngPool, spawn_rng
 
 
-class ClusterTrainer:
-    """Train one model data-parallel over ``num_machine_nodes`` DGX nodes."""
+class ClusterTrainer(TrainerBase):
+    """Train one model data-parallel over ``num_machine_nodes`` DGX nodes.
+
+    The epoch itself runs on its
+    :class:`~repro.train.plans.cluster.ClusterDataParallelPlan`.
+    Evaluation, checkpoints and the manifest use machine node 0's replica
+    (``node``/``store``/``model`` …); the replicas stay in sync.
+    """
+
+    _eval_stream = "cluster-eval"
+    #: failures scheduled on any machine node fire
+    _fault_node_id = None
 
     def __init__(
         self,
@@ -71,7 +66,6 @@ class ClusterTrainer:
         embedding_dim: int | None = None,
         num_pairs: int | None = None,
         sparse_optimizer: str = "adam",
-        plan=None,
     ):
         """``overlap=True`` selects the double-buffered schedule on every
         machine node: each node prefetches its next batch's sample+gather
@@ -90,11 +84,9 @@ class ClusterTrainer:
         epoch-boundary checkpoint into every replica and re-runs the epoch
         (the failed node's process is assumed restarted in place).
 
-        ``plan`` is the parallelism plan owning gradient sync and fault
-        recovery; only the default
-        :class:`~repro.train.plans.cluster.ClusterDataParallelPlan` makes
-        sense across machine nodes today, but instances may be passed for
-        testing/extension."""
+        ``task="linkpred"`` trains link prediction replicated: every
+        machine node processes the same pair batch each step, so the
+        trajectory is bit-identical to the single-node trainer's."""
         if num_machine_nodes < 1:
             raise ValueError("need at least one machine node")
         if fanouts is None:
@@ -119,34 +111,12 @@ class ClusterTrainer:
         self.samplers = [
             NeighborSampler(store, fanouts) for store in self.stores
         ]
-        if task not in ("node", "linkpred"):
-            raise ValueError("task must be 'node' or 'linkpred'")
-        if task == "linkpred" and overlap:
-            raise ValueError(
-                "link prediction runs in the sequential symmetric mode"
-            )
-        self.task = task
+        self._check_task(task, not overlap, fault_plan, sparse_optimizer)
 
         if task == "linkpred":
-            from repro.faults import RankFailure
-
-            if fault_plan is not None and fault_plan.of_kind(RankFailure):
-                raise ValueError(
-                    "link prediction supports transient fault plans only"
-                )
-            if sparse_optimizer not in SPARSE_OPTIMIZERS:
-                raise ValueError(
-                    f"sparse_optimizer must be one of "
-                    f"{sorted(SPARSE_OPTIMIZERS)}"
-                )
-            self.embedding_dim = (
-                int(embedding_dim) if embedding_dim
-                else self.stores[0].feature_dim
+            self._init_linkpred(
+                embedding_dim, num_pairs, sparse_optimizer, hidden
             )
-            self.num_pairs = (
-                int(num_pairs) if num_pairs else self.batch_size
-            )
-            self.sparse_optim_name = sparse_optimizer
             # replicated link prediction: every machine processes *the
             # same* global pair batch, so the trajectory is bit-identical
             # to the single-node trainer's — same "init" model stream,
@@ -160,10 +130,9 @@ class ClusterTrainer:
                 )
                 for _ in range(num_machine_nodes)
             ]
-            self._score_scale = 1.0 / float(np.sqrt(hidden))
             self.embeddings = [
                 WholeEmbedding(
-                    node, self.stores[0].num_nodes, self.embedding_dim,
+                    node, self.store.num_nodes, self.embedding_dim,
                     rng=spawn_rng(seed, "embedding"),
                 )
                 for node in self.nodes
@@ -172,22 +141,18 @@ class ClusterTrainer:
                 SPARSE_OPTIMIZERS[sparse_optimizer]([emb], lr=lr)
                 for emb in self.embeddings
             ]
-            self._pair_rng = spawn_rng(seed, "linkpred-pairs")
             self._sample_rngs = [
                 spawn_rng(seed, "rank", 0)
                 for _ in range(num_machine_nodes)
             ]
-            self.iterations_per_epoch = max(
-                1, self.stores[0].train_nodes.shape[0] // self.batch_size
-            )
         else:
             self.embeddings = []
             self.sparse_optimizers = []
             init_rng = spawn_rng(seed, "cluster-init")
             self.models = [
                 build_model(
-                    model_name, self.stores[0].feature_dim,
-                    self.stores[0].num_classes, init_rng,
+                    model_name, self.store.feature_dim,
+                    self.store.num_classes, init_rng,
                     hidden=hidden, num_layers=num_layers, dropout=dropout,
                 )
                 for _ in range(num_machine_nodes)
@@ -199,12 +164,11 @@ class ClusterTrainer:
         self.optimizers = [Adam(m.parameters(), lr=lr) for m in self.models]
         self._bucket_cap_mb = bucket_cap_mb
         self._overlap_grad_sync = bool(overlap_grad_sync)
-        # the plan owns gradient sync and fault recovery; its bind leaves
-        # ``self.grad_sync`` (the bucketed hierarchical pricing over all
-        # machine nodes) populated for reporting and test access
-        self.plan = ClusterDataParallelPlan() if plan is None else plan
-        if self.plan.trainer is not None:
-            raise ValueError("plan instances bind to a single trainer")
+        # the plan owns the epoch loop, gradient sync and fault recovery;
+        # its bind leaves ``self.grad_sync`` (the bucketed hierarchical
+        # pricing over all machine nodes) populated for reporting and
+        # test access
+        self.plan = ClusterDataParallelPlan()
         self.plan.bind(self)
         self.rngs = RngPool(seed, num_machine_nodes)
         self.epoch_rng = self.rngs.named("cluster-epochs")
@@ -224,277 +188,50 @@ class ClusterTrainer:
         self._epoch = 0
 
         # -- fault injection & recovery ------------------------------------
-        if recovery_policy not in ("restart", "shrink"):
-            raise ValueError("recovery_policy must be 'restart' or 'shrink'")
-        self.recovery_policy = recovery_policy
-        self.fault_plan = fault_plan
-        self.fault_injector = None
-        self._checkpoint_dir = checkpoint_dir
-        #: recovery actions taken so far (time, nodes, policy, cost)
-        self.recoveries: list[dict] = []
-        if fault_plan is not None and fault_plan:
-            self.fault_injector = FaultInjector(fault_plan).install(
-                self.nodes
-            )
-            if self._needs_checkpoints():
-                self._save_checkpoint()
+        self._init_faults(fault_plan, recovery_policy, checkpoint_dir)
+        self._install_faults()
 
-    def _needs_checkpoints(self) -> bool:
-        from repro.faults import RankFailure
+    # machine node 0's replica stands for the cluster where one is needed
 
-        return (
-            self.fault_injector is not None
-            and self.recovery_policy == "restart"
-            and bool(self.fault_plan.of_kind(RankFailure))
-        )
+    @property
+    def node(self) -> SimNode:
+        return self.nodes[0]
 
-    def _checkpoint_path(self) -> str:
-        if self._checkpoint_dir is None:
-            self._checkpoint_dir = tempfile.mkdtemp(prefix="cluster-ckpt-")
-        os.makedirs(self._checkpoint_dir, exist_ok=True)
-        return os.path.join(self._checkpoint_dir, "latest.npz")
+    @property
+    def store(self) -> MultiGpuGraphStore:
+        return self.stores[0]
 
-    def _save_checkpoint(self) -> None:
-        save_checkpoint(
-            self._checkpoint_path(), self.models[0], self.optimizers[0],
-            epoch=self._epoch,
-        )
+    @property
+    def sampler(self) -> NeighborSampler:
+        return self.samplers[0]
 
-    def _grad_nbytes(self) -> int:
-        return sum(p.data.nbytes for p in self.models[0].parameters())
+    @property
+    def model(self):
+        return self.models[0]
 
-    def _overlapped_node_step(
-        self,
-        executor: PipelinedExecutor,
-        i: int,
-        batch: np.ndarray,
-        batches: list[np.ndarray],
-        nxt: int,
-    ) -> tuple[float, float]:
-        """Node ``i`` trains ``batch`` while prefetching its next batch.
+    @property
+    def optimizer(self) -> Adam:
+        return self.optimizers[0]
 
-        ``nxt`` is the global index of the batch node ``i`` will process in
-        the next round-robin step; its sample+gather runs concurrently with
-        this step's training compute, so only the exposed tail
-        ``max(0, train - prefetch)`` advances the node's clocks.  Returns
-        ``(loss, train compute seconds)`` — the gradient sync is charged
-        per group by the caller.
-        """
-        sample_rng = self.rngs.rank(i)
-        if not executor.has_staged:
-            # prologue: the epoch's first prefetch is fully exposed
-            executor.prefetch(batch, sample_rng, mirror_ranks=True)
-        sg, x_np = executor.take()
-        prefetch_t = 0.0
-        if nxt < len(batches):
-            prefetch_t = executor.prefetch(
-                batches[nxt], sample_rng, mirror_ranks=True
-            )
-        loss, _ = train_batch(
-            self.models[i], sg, x_np, self.stores[i].labels[batch],
-            rng=self._model_rngs[i], optimizer=None, compute_grads=True,
-        )
-        train_t = self.models[i].estimate_train_time(sg)
-        executor.charge_overlapped_train(train_t, prefetch_t)
-        return loss, train_t
+    @property
+    def embedding(self) -> WholeEmbedding:
+        return self.embeddings[0]
+
+    @property
+    def sparse_optimizer(self):
+        return self.sparse_optimizers[0]
+
+    @property
+    def _batches_per_step(self) -> int:
+        # one global batch per machine node per step
+        return self.num_machine_nodes
 
     def train_epoch(self, max_iterations: int | None = None) -> dict:
-        """One epoch; global batches are distributed round-robin over the
-        machine nodes and processed concurrently (per-node clocks advance
-        in parallel)."""
-        if self.task == "linkpred":
-            return self._train_epoch_linkpred(max_iterations)
-        store0 = self.stores[0]
-        order = self.epoch_rng.permutation(store0.train_nodes)
-        nb = max(1, order.shape[0] // self.batch_size)
-        batches = [
-            order[i * self.batch_size : (i + 1) * self.batch_size]
-            for i in range(nb)
-        ]
-        if max_iterations is not None:
-            batches = batches[: max_iterations * self.num_machine_nodes]
-
-        t_start = max(node.sync() for node in self.nodes)
-        losses: list[float] = []
-        executors = self._make_executors() if self.overlap else None
-        # round-robin: one step processes batches[cursor : cursor+k]
-        # concurrently; the cursor loop (instead of a fixed-stride range)
-        # lets a mid-epoch recovery change k or replay the epoch
-        cursor = 0
-        while cursor < len(batches):
-            k = self.num_machine_nodes
-            group = batches[cursor : cursor + k]
-            try:
-                producers = []
-                for i, batch in enumerate(group):
-                    if self.overlap:
-                        loss, train_t = self._overlapped_node_step(
-                            executors[i], i, batch, batches, cursor + k + i
-                        )
-                        losses.append(loss)
-                        producers.append(
-                            (self.nodes[i].gpu_clock[0].now, train_t)
-                        )
-                        continue
-                    res = run_iteration(
-                        self.stores[i], self.samplers[i], self.models[i],
-                        batch, 0, self.rngs.rank(i),
-                        optimizer=None, compute_grads=True,
-                        charge_train=True,
-                        model_rng=self._model_rngs[i],
-                    )
-                    losses.append(res.loss)
-                    # symmetric intra-node ranks
-                    node = self.nodes[i]
-                    for r in range(1, node.num_gpus):
-                        clk = node.gpu_clock[r]
-                        clk.advance(res.times.sample, phase="sample")
-                        clk.advance(res.times.gather, phase="gather")
-                        clk.advance(res.times.train, phase="train")
-                    producers.append(
-                        (node.gpu_clock[0].now, res.times.train)
-                    )
-                # global bucketed sync: averages the gradients
-                # functionally, then charges the hierarchical (NVLink +
-                # IB) schedule — nodes that got no batch this step stall
-                # at the collective barrier
-                self.plan.sync_gradients(producers)
-                for opt in self.optimizers:
-                    opt.step()
-                cursor += len(group)
-                self._poll_faults()
-            except RankFailureError as exc:
-                _, cursor, losses = self.plan.recover(
-                    exc, None, cursor, losses
-                )
-                if self.overlap:
-                    # staged prefetches target pre-failure batch indexes;
-                    # rebuild and pay a fresh pipeline prologue
-                    executors = self._make_executors()
-        t_end = max(node.sync() for node in self.nodes)
-        self._epoch += 1
-        stats = {
-            "epoch": self._epoch - 1,
-            "mean_loss": float(np.mean(losses)) if losses else float("nan"),
-            "iterations": len(batches),
-            "epoch_time": t_end - t_start,
-        }
-        self.history.append(stats)
-        if self._needs_checkpoints():
-            self._save_checkpoint()
-        return stats
-
-    # -- replicated link prediction (sparse embeddings + row-grad sync) -------
-
-    def _train_epoch_linkpred(self, max_iterations: int | None) -> dict:
-        """One link-prediction epoch: every machine node processes the
-        *same* global pair batch each step (replicated data-parallel), so
-        the loss trajectory is bit-identical to the single-node trainer's
-        while still exercising the full gradient-averaging machinery."""
-        n_iter = self.iterations_per_epoch
-        if max_iterations is not None:
-            n_iter = min(n_iter, int(max_iterations))
-        t_start = max(node.sync() for node in self.nodes)
-        losses = [self._step_linkpred() for _ in range(n_iter)]
-        t_end = max(node.sync() for node in self.nodes)
-        self._epoch += 1
-        stats = {
-            "epoch": self._epoch - 1,
-            "mean_loss": float(np.mean(losses)) if losses else float("nan"),
-            "iterations": n_iter,
-            "epoch_time": t_end - t_start,
-        }
-        self.history.append(stats)
-        return stats
-
-    def _step_linkpred(self) -> float:
-        """One replicated link-prediction step across all machine nodes."""
-        src, dst, labels = sample_link_batch(
-            self.stores[0].csr, self.num_pairs, self._pair_rng
-        )
-        producers = []
-        collected = []
-        machine_losses = []
-        for i in range(self.num_machine_nodes):
-            node = self.nodes[i]
-            res = linkpred_forward(
-                node, self.models[i], self.samplers[i], self.embeddings[i],
-                src, dst, labels, 0, self._sample_rngs[i],
-                self._model_rngs[i], self._score_scale, charge=True,
-            )
-            machine_losses.append(float(res.loss.data))
-            self.models[i].zero_grad()
-            res.loss.backward()
-            sg = res.subgraph
-            train_t = self.models[i].estimate_train_time(sg)
-            clock = node.gpu_clock[0]
-            clock.advance(
-                train_t, phase="train", category="compute",
-                args={"edges": sg.total_edges(),
-                      "input_nodes": int(sg.input_nodes.shape[0])},
-            )
-            for r in range(1, node.num_gpus):
-                clk = node.gpu_clock[r]
-                clk.advance(res.t_sample, phase="sample")
-                clk.advance(res.t_gather, phase="gather")
-                clk.advance(train_t, phase="train")
-            producers.append((clock.now, train_t))
-            collected.append(self.sparse_optimizers[i].collect())
-        # dense encoder grads: float64-accumulate average (exact for the
-        # identical replicated grads), then the hierarchical sync charge
-        self.plan.sync_gradients(producers, f64=True)
-        for opt in self.optimizers:
-            opt.step()
-        # sparse row grads: union-average across replicas under the same
-        # float64 contract, then every replica applies the identical update
-        # (comm-lane push + touched-row state arithmetic on its own node)
-        averaged = average_row_grads(collected)
-        for sparse_opt in self.sparse_optimizers:
-            sparse_opt.apply(averaged, rank=0)
-        for node in self.nodes:
-            node.sync()
-        return float(np.mean(machine_losses))
-
-    def evaluate_linkpred(self, num_pairs: int = 2000) -> float:
-        """Held-out link-prediction AUC on machine node 0's replica.
-
-        Draws the same ``linkpred-eval`` stream as the single-node
-        trainer's :meth:`~repro.train.trainer.WholeGraphTrainer.\
-evaluate_linkpred`, so the two agree bitwise on identical state.
-        """
-        if self.task != "linkpred":
-            raise ValueError("evaluate_linkpred needs task='linkpred'")
-        rng = spawn_rng(self.seed, "linkpred-eval")
-        src, dst, labels = sample_link_batch(
-            self.stores[0].csr, num_pairs, rng
-        )
-        model = self.models[0]
-        model.eval()
-        eval_sampler = NeighborSampler(
-            self.stores[0], self.samplers[0].fanouts, charge=False
-        )
-        res = linkpred_forward(
-            self.nodes[0], model, eval_sampler, self.embeddings[0],
-            src, dst, labels, 0, rng, None, self._score_scale, charge=False,
-        )
-        model.train()
-        return roc_auc(res.scores.data, labels)
-
-    def _make_executors(self) -> list[PipelinedExecutor]:
-        return [
-            PipelinedExecutor(self.stores[i], self.samplers[i], rank=0)
-            for i in range(self.num_machine_nodes)
-        ]
-
-    # -- fault polling & recovery -------------------------------------------------
-
-    def _now(self) -> float:
-        return max(c.now for node in self.nodes for c in node.gpu_clock)
-
-    def _poll_faults(self) -> None:
-        """Detect due permanent failures on any machine node."""
-        if self.fault_injector is not None:
-            self.fault_injector.poll_rank_failures(self._now())
+        """One epoch, run by the plan: node classification distributes the
+        global batches round-robin over the machine nodes (processed
+        concurrently, per-node clocks advance in parallel); replicated
+        link prediction gives every node the same pair batch."""
+        return self.plan.train_epoch(max_iterations)
 
     def run_report(self, name: str = "cluster",
                    accuracy: float | None = None,
@@ -509,32 +246,13 @@ evaluate_linkpred`, so the two agree bitwise on identical state.
                 max(c.now for c in node.gpu_clock) for node in self.nodes
             ],
             "recoveries": list(self.recoveries),
+            **self._linkpred_extra(),
         }
-        cfg = {
-            "model": self.model_name,
-            "batch_size": self.batch_size,
+        cfg = self._report_config()
+        cfg.update({
             "num_machine_nodes": self.num_machine_nodes,
             "num_gpus_per_node": self.nodes[0].num_gpus,
-            "overlap": self.overlap,
-            "bucket_cap_mb": self.grad_sync.bucket_cap_mb,
-            "overlap_grad_sync": self.grad_sync.overlap,
-            "grad_buckets": self.grad_sync.num_buckets,
-            "fault_plan": (
-                self.fault_plan.to_config()
-                if self.fault_plan is not None and self.fault_plan
-                else None
-            ),
-            "recovery_policy": self.recovery_policy,
-        }
-        if self.task == "linkpred":
-            cfg["task"] = "linkpred"
-            cfg["embedding_dim"] = self.embedding_dim
-            cfg["num_pairs"] = self.num_pairs
-            cfg["sparse_optimizer"] = self.sparse_optim_name
-            merged["embedding"] = self.embeddings[0].stats_dict()
-            merged["sparse_state_bytes"] = (
-                self.sparse_optimizers[0].state_bytes()
-            )
+        })
         merged.update(extra or {})
         return report_from_node(
             name,
@@ -567,29 +285,3 @@ evaluate_linkpred`, so the two agree bitwise on identical state.
                     raise AssertionError(
                         f"machine node {i} embedding diverged"
                     )
-
-    def evaluate(self, nodes=None, batch_size: int | None = None) -> float:
-        """Validation accuracy using machine node 0's replica."""
-        from repro.nn.tensor import Tensor  # local: avoid cycle
-
-        store = self.stores[0]
-        if nodes is None:
-            nodes = store.val_nodes
-        nodes = np.asarray(nodes, dtype=np.int64)
-        batch_size = batch_size or self.batch_size
-        model = self.models[0]
-        model.eval()
-        sampler = NeighborSampler(store, self.samplers[0].fanouts,
-                                  charge=False)
-        rng = self.rngs.named("cluster-eval")
-        correct = 0
-        for i in range(0, nodes.shape[0], batch_size):
-            seeds = nodes[i : i + batch_size]
-            sg = sampler.sample(seeds, 0, rng)
-            x = Tensor(store.feature_tensor.gather_no_cost(sg.input_nodes))
-            logits = model(sg, x, None)
-            correct += int(
-                (logits.data.argmax(axis=-1) == store.labels[seeds]).sum()
-            )
-        model.train()
-        return correct / max(nodes.shape[0], 1)

@@ -7,11 +7,7 @@ The stream/event vocabulary the overlap engines are built on:
   cross-stream dependencies, drained by one deterministic loop;
 - :class:`~repro.sim.core.DeviceStreams` — per-node registry of
   compute/comm/host streams and synthetic trace lanes
-  (``streams_for(node)`` or ``node.streams``);
-- :class:`~repro.sim.window.VirtualStream` /
-  :class:`~repro.sim.window.OverlapWindow` — relative-time overlap
-  planning that preserves the legacy engines' float arithmetic bit for bit
-  (see the module docstring for why that matters).
+  (``streams_for(node)`` or ``node.streams``).
 """
 
 from repro.sim.core import (
@@ -22,7 +18,6 @@ from repro.sim.core import (
     join,
     streams_for,
 )
-from repro.sim.window import OverlapWindow, VirtualStream
 
 __all__ = [
     "DeviceStreams",
@@ -31,6 +26,4 @@ __all__ = [
     "Stream",
     "join",
     "streams_for",
-    "OverlapWindow",
-    "VirtualStream",
 ]

@@ -73,8 +73,23 @@ class CriticalPath:
 
     @property
     def covered(self) -> float:
-        """Total seconds the path explains — equals ``makespan`` exactly."""
-        return sum(e.duration for e in self.entries)
+        """Total seconds the path explains — equals ``makespan`` exactly.
+
+        Each run of abutting entries counts as ``run end - run start``:
+        summing the entries' own durations rounds differently and can
+        miss the makespan by an ulp.
+        """
+        total = 0.0
+        start = end = None
+        for e in self.entries:
+            if e.start != end:
+                if start is not None:
+                    total += end - start
+                start = e.start
+            end = e.end
+        if start is not None:
+            total += end - start
+        return total
 
     def blame(self, key) -> dict:
         """Aggregate path durations by ``key(entry)`` (skips empty keys)."""

@@ -3,8 +3,8 @@
 The recorded timeline is a *solved* schedule — every stall already bound to
 the dependency that released it.  This module re-solves it under a
 counterfactual cost model: each device becomes a clockless virtual cursor
-(the :mod:`repro.sim.window` idea), busy spans re-charge at a knob-scaled
-duration, and synchronization points are re-derived from the recorded wait
+(a serial-stream recurrence in relative time), busy spans re-charge at a
+knob-scaled duration, and synchronization points are re-derived from the recorded wait
 structure:
 
 - spans are replayed in recorded-completion order, grouped by (bitwise)

@@ -1,11 +1,13 @@
 """Mini-batch GNN training on the multi-GPU shared-memory store.
 
 - :mod:`repro.train.pipeline` — the per-iteration sample → append-unique →
-  gather → train pipeline with per-phase simulated timing;
-- :mod:`repro.train.trainer` — epoch loops, evaluation, the WholeGraph
-  trainer (paper §III-D training flow);
+  gather → train pipeline with per-phase simulated timing, and the
+  sequential / double-buffered schedule loaders;
+- :mod:`repro.train.trainer` — the WholeGraph trainer (paper §III-D
+  training flow): model state, evaluation, run reports;
 - :mod:`repro.train.plans` — composable parallelism plans (data-parallel,
-  GNNPipe-style pipelined model parallelism, hybrid, CAGNET full-graph);
+  GNNPipe-style pipelined model parallelism, hybrid, CAGNET full-graph),
+  each owning its epoch loop;
 - :mod:`repro.train.streaming` — the out-of-core streaming prefetch loader
   (host-stream tier transfers, exposed-tail-only charging);
 - :mod:`repro.train.ddp` — data-parallel gradient synchronisation;

@@ -11,22 +11,27 @@ One iteration on one GPU rank:
 Each phase advances the rank's simulated clock under its phase label;
 Fig. 9/11/12 are read off the resulting timeline.
 
-Two execution schedules are provided:
+:func:`run_iteration` runs one such iteration back-to-back on one rank.
+The epoch loops instead drive a *loader* (:class:`BatchLoader`): it
+stages each batch's sampled subgraph and features, and charges the train
+time the way its schedule does:
 
-- :func:`run_iteration` — the sequential schedule: sample, gather and train
-  back-to-back on the rank's clock (total = sum of the phases);
-- :class:`PipelinedExecutor` — the double-buffered schedule: while batch *i*
-  trains, batch *i+1*'s sample+gather runs concurrently (the prefetch
-  stream), so the steady-state per-iteration time is
-  ``max(train_i, sample_{i+1} + gather_{i+1})`` instead of the sum.  The
-  functional math is identical — the models, losses and trained weights are
-  bit-for-bit the same as the sequential schedule when sampling and dropout
-  draw from separate streams (both schedules consume each stream in batch
-  order).
+- :class:`SequentialLoader` — sample, gather and train back-to-back
+  (total = sum of the phases);
+- :class:`PipelinedExecutor` — double-buffered: while batch *i* trains,
+  batch *i+1*'s sample+gather runs concurrently, so the steady-state
+  per-iteration time is ``max(train_i, sample_{i+1} + gather_{i+1})``;
+- :class:`~repro.train.streaming.StreamingLoader` — out-of-core: tier
+  transfers ride a host stream several batches ahead.
+
+The functional math is identical under every loader — the models, losses
+and trained weights are bit-for-bit the same when sampling and dropout
+draw from separate streams (each loader consumes both in batch order).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +39,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.ops.neighbor_sampler import NeighborSampler, SampledSubgraph
-from repro.sim import OverlapWindow, VirtualStream, join
+from repro.sim import join
 from repro.telemetry import metrics
 from repro.train.metrics import PhaseTimes, accuracy
 
@@ -170,20 +175,87 @@ def run_iteration(
     )
 
 
-class PipelinedExecutor:
-    """Double-buffered sample+gather prefetch over one store/sampler pair.
+def train_step(loader, model, labels: np.ndarray,
+               model_rng: np.random.Generator | None,
+               cost_factor: float = 1.0) -> tuple[float, float]:
+    """Train ``loader``'s next batch: forward + backward, no optimizer step.
 
-    Drives the Fig. 1 loop with software pipelining: the caller asks for the
-    current batch's prepared data (:meth:`take`) and immediately issues the
-    next batch's prefetch (:meth:`prefetch`), then charges only the
-    *exposed* portion of the train time via :meth:`charge_overlapped_train`
-    — the part not hidden behind the prefetch that ran concurrently.
+    The simulated train time (``estimate_train_time * cost_factor``) is
+    charged the way the loader's schedule charges it.  Returns ``(loss,
+    train seconds)``; the train seconds are the producer window of the
+    gradient sync that follows.
+    """
+    subgraph, x_np = loader.next()
+    loss, _ = train_batch(
+        model, subgraph, x_np, labels, rng=model_rng, compute_grads=True
+    )
+    return loss, loader.charge_train(
+        model.estimate_train_time(subgraph) * cost_factor
+    )
 
-    The prefetch stream charges the ``sample``/``gather`` phases on the main
-    clock (the copy/compute engines share the GPU's timeline); the train
-    compute of the *previous* batch then only pays
-    ``max(0, train - prefetch)`` — together that models the steady state
-    ``max(train_i, sample_{i+1}+gather_{i+1})`` per iteration.
+
+def train_span_args(subgraph: SampledSubgraph) -> dict:
+    """Trace args of a train span: the batch's edge and input-node counts."""
+    return {"edges": subgraph.total_edges(),
+            "input_nodes": int(subgraph.input_nodes.shape[0])}
+
+
+class BatchLoader:
+    """The schedule interface the epoch loops drive.
+
+    An epoch loop hands the loader its batches once (:meth:`start`), runs
+    the prologue (:meth:`prime`), then per batch calls :meth:`next` for the
+    staged ``(subgraph, features)`` — which also issues the prefetch of a
+    later batch — and :meth:`charge_train` to put that batch's train time
+    on the clocks.  Subclasses provide ``prefetch``/``take``/
+    ``charge_train``; every prefetched sample/gather second is added to
+    :attr:`times`.
+    """
+
+    #: batches kept in flight ahead of the one training
+    prefetch_depth = 0
+    #: whether the single-node loop aligns every device (host included)
+    #: after the prologue and after each iteration
+    barrier = True
+
+    def start(self, batches, rng: np.random.Generator,
+              times: PhaseTimes | None = None) -> None:
+        """Queue ``batches`` (sampled with ``rng``, in order); phase
+        seconds go to ``times`` when given."""
+        self._pending = deque(batches)
+        self._rng = rng
+        self._primed = False
+        if times is not None:
+            self.times = times
+
+    def prime(self) -> None:
+        """The prologue: prefetch the first ``prefetch_depth`` batches."""
+        self._primed = True
+        for _ in range(min(self.prefetch_depth, len(self._pending))):
+            self._issue()
+
+    def next(self) -> tuple[SampledSubgraph, np.ndarray]:
+        """Take the oldest staged batch and prefetch the next queued one.
+
+        Runs the prologue first if :meth:`prime` was not called.
+        """
+        if not self._primed:
+            self.prime()
+        staged = self.take()
+        self.last_prefetch = self._issue() if self._pending else 0.0
+        return staged
+
+    def _issue(self) -> float:
+        return self.prefetch(self._pending.popleft(), self._rng)
+
+
+class SequentialLoader(BatchLoader):
+    """The sequential schedule: no prefetch.
+
+    Each batch is sampled and gathered on ``rank`` when it is taken; after
+    it trains, the other ranks are charged the same sample, gather and
+    train durations (the SPMD-symmetric approximation) — per iteration the
+    phases add up instead of overlapping.
     """
 
     def __init__(self, store, sampler: NeighborSampler, rank: int = 0):
@@ -191,81 +263,120 @@ class PipelinedExecutor:
         self.sampler = sampler
         self.rank = rank
         self.node = store.node
+        self.times = PhaseTimes()
         self._staged: tuple[SampledSubgraph, np.ndarray] | None = None
-        self._staged_time = 0.0
         #: sample/gather durations of the most recent prefetch
         self.last_sample_time = 0.0
         self.last_gather_time = 0.0
 
-    def prefetch(
-        self, seeds: np.ndarray, rng: np.random.Generator,
-        mirror_ranks: bool = False,
-    ) -> float:
-        """Sample+gather ``seeds`` into the staging buffer; returns the
-        prefetch duration.  ``mirror_ranks=True`` charges the same durations
-        to all other ranks (the SPMD-symmetric approximation)."""
+    def prefetch(self, seeds: np.ndarray, rng: np.random.Generator) -> float:
+        """Sample+gather ``seeds`` on ``rank`` into the staging buffer;
+        returns the sample+gather duration."""
         if self._staged is not None:
             raise RuntimeError("staging buffer full — take() the batch first")
+        self._t0 = self.node.gpu_clock[self.rank].now
         sg, x_np, t_sample, t_gather = sample_and_gather(
             self.store, self.sampler, seeds, self.rank, rng
         )
-        if mirror_ranks:
-            streams = self.node.streams
-            for r in range(self.node.num_gpus):
-                if r == self.rank:
-                    continue
-                stream = streams.compute(r)
-                stream.launch(t_sample, phase="sample")
-                stream.launch(t_gather, phase="gather")
         self._staged = (sg, x_np)
         self.last_sample_time = t_sample
         self.last_gather_time = t_gather
-        self._staged_time = t_sample + t_gather
-        return self._staged_time
-
-    @property
-    def has_staged(self) -> bool:
-        return self._staged is not None
+        self.times += PhaseTimes(sample=t_sample, gather=t_gather)
+        return t_sample + t_gather
 
     def take(self) -> tuple[SampledSubgraph, np.ndarray]:
         """Pop the staged (subgraph, features) pair for training."""
         if self._staged is None:
             raise RuntimeError("nothing staged — call prefetch() first")
         staged, self._staged = self._staged, None
+        self._subgraph = staged[0]
         return staged
 
-    def charge_overlapped_train(
-        self, train_time: float, prefetch_time: float,
-        ranks: list[int] | None = None, phase: str = "train",
-    ) -> float:
+    def next(self) -> tuple[SampledSubgraph, np.ndarray]:
+        """Sample and gather the next batch now, then take it."""
+        self._issue()
+        return self.take()
+
+    def charge_train(self, train_time: float) -> float:
+        """Charge the train phase behind the batch's sample+gather.
+
+        Returns the train seconds as the rank's clock delta (what the
+        other ranks are charged and the phase totals record).
+        """
+        node = self.node
+        clock = node.gpu_clock[self.rank]
+        clock.advance(
+            train_time, phase="train", category="compute",
+            args=train_span_args(self._subgraph),
+        )
+        t_sample, t_gather = self.last_sample_time, self.last_gather_time
+        train = clock.now - self._t0 - t_sample - t_gather
+        reg = metrics.get_registry()
+        reg.counter("iterations_total", schedule="sequential").inc(1)
+        reg.counter("phase_seconds_total", phase="train").inc(train)
+        for r in range(node.num_gpus):
+            if r == self.rank:
+                continue
+            clk = node.gpu_clock[r]
+            clk.advance(t_sample, phase="sample")
+            clk.advance(t_gather, phase="gather")
+            clk.advance(train, phase="train")
+        return train
+
+
+class PipelinedExecutor(SequentialLoader):
+    """Double-buffered sample+gather prefetch over one store/sampler pair.
+
+    Drives the Fig. 1 loop with software pipelining: batch *i+1* is
+    sampled and gathered while batch *i* trains.  The prefetch charges the
+    ``sample``/``gather`` phases on the main clock (the copy/compute
+    engines share the GPU's timeline) and launches the same durations on
+    the other ranks' compute streams; the train compute of the batch taken
+    before it then only pays ``max(0, train - prefetch)`` — together that
+    models the steady state ``max(train_i, sample_{i+1}+gather_{i+1})`` per
+    iteration.
+    """
+
+    prefetch_depth = 1
+    # take the staged batch, then prefetch the following one
+    next = BatchLoader.next
+
+    def prefetch(self, seeds: np.ndarray, rng: np.random.Generator) -> float:
+        """Sample+gather ``seeds`` into the staging buffer, charging the
+        same durations to all other ranks; returns the prefetch duration."""
+        prefetch_time = super().prefetch(seeds, rng)
+        streams = self.node.streams
+        for r in range(self.node.num_gpus):
+            if r == self.rank:
+                continue
+            stream = streams.compute(r)
+            stream.launch(self.last_sample_time, phase="sample")
+            stream.launch(self.last_gather_time, phase="gather")
+        return prefetch_time
+
+    def charge_train(self, train_time: float) -> float:
         """Charge the exposed tail of an overlapped train phase.
 
-        The train compute of batch *i* ran concurrently with the prefetch
-        of batch *i+1*, which already advanced the clock: an
-        :class:`~repro.sim.OverlapWindow` weighs the two, and only the
-        train op's exposed tail is launched on the compute streams.
-        Returns the exposed duration.
+        The train compute ran concurrently with the prefetch issued by the
+        same :meth:`next`, which already advanced the clock, so only
+        ``max(0, train - prefetch)`` is launched on the compute streams.
+        Returns the full train time.
         """
-        window = OverlapWindow(charged=prefetch_time)
-        window.stream("compute").launch(train_time)
-        exposed = window.exposed
+        exposed = max(0.0, train_time - self.last_prefetch)
         streams = self.node.streams
-        targets = (
-            range(self.node.num_gpus) if ranks is None else ranks
-        )
-        for r in targets:
+        for r in range(self.node.num_gpus):
             streams.compute(r).launch(
-                exposed, phase=phase, category="compute",
+                exposed, phase="train", category="compute",
                 args={"train_time": train_time,
                       "hidden_by_prefetch": train_time - exposed},
             )
         reg = metrics.get_registry()
         reg.counter("iterations_total", schedule="pipelined").inc(1)
-        reg.counter("phase_seconds_total", phase=phase).inc(train_time)
+        reg.counter("phase_seconds_total", phase="train").inc(train_time)
         reg.counter("overlap_hidden_seconds_total").inc(
             train_time - exposed
         )
-        return exposed
+        return train_time
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +449,28 @@ def plan_grad_sync(
     if not producers:
         producers = [(0.0, 0.0)]
     total = float(sum(bucket_nbytes))
-    # the serial comm stream, in sync-point-relative time: each bucket is
-    # launched behind its readiness floor, and the stream cursor serializes
-    comm = VirtualStream()
+    # the serial comm stream, in sync-point-relative time: each bucket
+    # starts behind its readiness floor and the previous bucket's end.
+    # Planning relative and committing absolute keeps the floats exact:
+    # subtracting absolute timestamps would drift in the last ulp.
+    starts: list[float] = []
+    ends: list[float] = []
+    free = -float("inf")
     cum = 0.0
     for j in range(k):
         cum += bucket_nbytes[j]
         frac = cum / total if total > 0 else 1.0
         ready = max(end - w * (1.0 - frac) for end, w in producers)
-        comm.launch(bucket_times[j], not_before=ready)
-    exposed = max(0.0, comm.ends[-1])
+        start = max(ready, free)
+        free = start + bucket_times[j]
+        starts.append(start)
+        ends.append(free)
     return GradSyncPlan(
         bucket_nbytes=tuple(int(b) for b in bucket_nbytes),
         bucket_times=tuple(float(t) for t in bucket_times),
-        starts=tuple(comm.starts),
-        ends=tuple(comm.ends),
-        exposed=exposed,
+        starts=tuple(starts),
+        ends=tuple(ends),
+        exposed=max(0.0, free),
     )
 
 

@@ -59,13 +59,14 @@ class ParallelismPlan:
         """
         raise NotImplementedError
 
-    def train_epoch(self, max_iterations: int | None, overlap: bool):
+    def train_epoch(self, max_iterations: int | None = None):
         """Run one training epoch and return its ``EpochStats``.
 
         The plan owns the whole epoch: batch scheduling, stream charges,
-        gradient sync, fault polling and recovery dispatch.  It must append
-        the stats to ``trainer.history``, advance ``trainer._epoch`` and
-        write an epoch-boundary checkpoint when the trainer needs one.
+        gradient sync, fault polling and recovery dispatch, under the
+        schedule the trainer was constructed with.  It must append the
+        stats to ``trainer.history``, advance ``trainer._epoch`` and write
+        an epoch-boundary checkpoint when the trainer needs one.
         """
         raise NotImplementedError
 

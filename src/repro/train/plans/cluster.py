@@ -1,12 +1,12 @@
 """The multi-machine data-parallel plan behind :class:`ClusterTrainer`.
 
-Extracted from the cluster trainer so gradient synchronisation and fault
-recovery plug into the plan interface there too: the plan owns the
-hierarchical (NVLink-ring + InfiniBand-ring) grad-sync engine, the
-functional gradient averaging across machine-node replicas, and both
-recovery policies (elastic shrink over the surviving machines, or
-checkpoint restart into every replica).  The trainer keeps what is not
-strategy: datasets, replicas' model state, RNG streams and reporting.
+The plan owns the cluster's epoch loop — node classification with one
+loader per machine node, or replicated link prediction — the hierarchical
+(NVLink-ring + InfiniBand-ring) grad-sync engine, the functional gradient
+averaging across machine-node replicas, and both recovery policies
+(elastic shrink over the surviving machines, or checkpoint restart into
+every replica).  The trainer keeps what is not strategy: datasets,
+replicas' model state, RNG streams and reporting.
 
 Byte-identity: every clock charge and metric increment happens in the
 order the pre-plan cluster trainer produced, so the cluster golden
@@ -21,9 +21,15 @@ import numpy as np
 
 from repro import config
 from repro.faults import RankFailureError
+from repro.nn.sparse_optim import average_row_grads
 from repro.telemetry import metrics
 from repro.train.checkpoint import load_checkpoint
 from repro.train.ddp import GradSyncModel
+from repro.train.pipeline import (
+    PipelinedExecutor,
+    SequentialLoader,
+    train_step,
+)
 from repro.train.plans.base import ParallelismPlan
 
 
@@ -41,6 +47,123 @@ class ClusterDataParallelPlan(ParallelismPlan):
             bucket_cap_mb=trainer._bucket_cap_mb,
             overlap=trainer._overlap_grad_sync,
         )
+
+    # -- epoch loop --------------------------------------------------------
+
+    def train_epoch(self, max_iterations=None) -> dict:
+        """One epoch over every machine node; returns the history row.
+
+        Each step is one round (:meth:`_node_round` or
+        :meth:`_linkpred_round`) followed by a fault poll; a failure hands
+        the batch cursor to the recovery policy and restarts the loaders.
+        """
+        t = self.trainer
+        batches = t._epoch_batches(max_iterations)
+        step = (
+            self._linkpred_round if t.task == "linkpred"
+            else self._node_round
+        )
+        t_start = max(node.sync() for node in t.nodes)
+        losses: list[float] = []
+        cursor = 0
+        loaders = None
+        while cursor < len(batches):
+            try:
+                if loaders is None:
+                    loaders = self._loaders(batches[cursor:])
+                cursor += step(batches, cursor, loaders, losses)
+                t._poll_faults()
+            except RankFailureError as exc:
+                _, cursor, losses = self.recover(exc, None, cursor, losses)
+                loaders = None
+        t_end = max(node.sync() for node in t.nodes)
+        stats = {
+            "epoch": t._epoch,
+            "mean_loss": float(np.mean(losses)) if losses else float("nan"),
+            "iterations": len(batches),
+            "epoch_time": t_end - t_start,
+        }
+        t._epoch += 1
+        t.history.append(stats)
+        if t._needs_checkpoints():
+            t._save_checkpoint()
+        return stats
+
+    def _loaders(self, batches) -> list:
+        """One loader per machine node over its round-robin share.
+
+        Node ``i`` trains ``batches[i::k]``; its prologue runs lazily at
+        its first step, so a pipelined node prefetches its next batch while
+        the current one trains.
+        """
+        t = self.trainer
+        if t.task == "linkpred":
+            return []
+        k = t.num_machine_nodes
+        kind = PipelinedExecutor if t.overlap else SequentialLoader
+        loaders = []
+        for i in range(k):
+            loader = kind(t.stores[i], t.samplers[i])
+            loader.start(batches[i::k], t.rngs.rank(i))
+            loaders.append(loader)
+        return loaders
+
+    def _node_round(self, batches, cursor, loaders, losses) -> int:
+        """Machine node ``i`` trains ``batches[cursor + i]``, concurrently;
+        then one global sync and optimizer step.  Returns the batches
+        consumed."""
+        t = self.trainer
+        group = batches[cursor : cursor + t.num_machine_nodes]
+        producers = []
+        for i, batch in enumerate(group):
+            loss, train_t = train_step(
+                loaders[i], t.models[i], t.stores[i].labels[batch],
+                t._model_rngs[i],
+            )
+            losses.append(loss)
+            producers.append((t.nodes[i].gpu_clock[0].now, train_t))
+        # global bucketed sync: averages the gradients functionally, then
+        # charges the hierarchical (NVLink + IB) schedule — nodes that got
+        # no batch this step stall at the collective barrier
+        self.sync_gradients(producers)
+        for opt in t.optimizers:
+            opt.step()
+        return len(group)
+
+    def _linkpred_round(self, batches, cursor, loaders, losses) -> int:
+        """Every machine node scores ``batches[cursor]``; the dense and
+        sparse grads are averaged across replicas, then every replica
+        applies the identical update.  Returns the batches consumed (1)."""
+        from repro.train.trainer import linkpred_step
+
+        t = self.trainer
+        pairs = batches[cursor]
+        producers = []
+        collected = []
+        machine_losses = []
+        for i, node in enumerate(t.nodes):
+            loss, _, train_t = linkpred_step(
+                node, t.models[i], t.samplers[i], t.embeddings[i], pairs,
+                t._sample_rngs[i], t._model_rngs[i], t._score_scale,
+            )
+            machine_losses.append(loss)
+            producers.append((node.gpu_clock[0].now, train_t))
+            collected.append(t.sparse_optimizers[i].collect())
+        # dense encoder grads: float64-accumulate average (exact for the
+        # identical replicated grads), then the hierarchical sync charge
+        self.sync_gradients(producers, f64=True)
+        for opt in t.optimizers:
+            opt.step()
+        # sparse row grads: union-average across replicas under the same
+        # float64 contract, then every replica applies the identical update
+        # (comm-lane push + touched-row state arithmetic on its own node)
+        averaged = average_row_grads(collected)
+        for sparse_opt in t.sparse_optimizers:
+            sparse_opt.apply(averaged, rank=0)
+        for node in t.nodes:
+            node.sync()
+        losses.append(float(np.mean(machine_losses)))
+        return 1
 
     # -- gradient synchronisation ------------------------------------------
 

@@ -1,26 +1,30 @@
 """The default WholeGraph data-parallel plan (paper §III-D).
 
-This is the legacy ``WholeGraphTrainer`` strategy, extracted verbatim onto
-the plan interface: every clock charge, stream launch, RNG draw and metric
-increment happens in exactly the order the pre-plan trainer produced, so a
-data-parallel run through this plan is byte-identical to the golden
-manifests recorded before the abstraction existed
+Every clock charge, stream launch, RNG draw and metric increment happens
+in the order the pre-plan trainer produced, so a data-parallel run through
+this plan is byte-identical to the golden manifests
 (``tests/test_parallelism_plans.py`` pins this with a hypothesis sweep).
 
-Two execution modes (selected by the trainer's ``compute_ranks``):
+:meth:`DataParallelPlan.train_epoch` is the single-node epoch loop for
+every task and schedule; what runs per batch is a step function:
 
-- ``"one"`` — SPMD-symmetric simulation: rank 0 runs the real math and its
-  per-phase durations are mirrored onto the other ranks;
-- ``"all"`` — true DDP: one model replica per GPU, per-rank batches, real
-  bucketed gradient all-reduce every step.
+- symmetric node classification (``compute_ranks="one"``) — rank 0 runs
+  the real math on the batch its schedule's loader staged (sequential,
+  double-buffered ``overlap=True`` or out-of-core ``streaming=True``) and
+  the loader mirrors the per-phase durations onto the other ranks;
+- true DDP (``compute_ranks="all"``) — one model replica per GPU,
+  per-rank batches, real bucketed gradient all-reduce every step;
+- link prediction (``task="linkpred"``) — pair batches scored on rank 0,
+  dense grads through the bucketed sync, sparse row grads pushed over the
+  comm stream.
 
-Within the symmetric mode the trainer's schedule knobs select sequential,
-double-buffered (``overlap=True``) or out-of-core streaming
-(``streaming=True``) epochs.  Both recovery policies (checkpoint restart
-and elastic shrink) plug in here.
+Both recovery policies (checkpoint restart and elastic shrink) plug in
+here.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -34,7 +38,12 @@ from repro.ops.neighbor_sampler import NeighborSampler
 from repro.telemetry import metrics
 from repro.train.ddp import DistributedDataParallel, GradSyncModel
 from repro.train.metrics import PhaseTimes
-from repro.train.pipeline import PipelinedExecutor, run_iteration, train_batch
+from repro.train.pipeline import (
+    PipelinedExecutor,
+    SequentialLoader,
+    run_iteration,
+    train_step,
+)
 from repro.train.plans.base import ParallelismPlan
 from repro.train.streaming import StreamingLoader
 
@@ -80,15 +89,20 @@ class DataParallelPlan(ParallelismPlan):
 
     # -- epoch loop --------------------------------------------------------
 
-    def train_epoch(self, max_iterations, overlap):
-        """One pass over the training nodes (optionally truncated)."""
+    def train_epoch(self, max_iterations=None):
+        """One pass over the epoch's batches (optionally truncated).
+
+        Every task and schedule runs this loop: each attempt starts a step
+        function over the remaining batches (:meth:`_begin`), every
+        completed batch advances the cursor and polls for rank failures,
+        and a failure hands the cursor to the recovery policy before the
+        next attempt.
+        """
         from repro.train.trainer import EpochStats
 
         t = self.trainer
         t.model.train()
-        batches = t._epoch_batches()
-        if max_iterations is not None:
-            batches = batches[:max_iterations]
+        batches = t._epoch_batches(max_iterations)
         t_epoch_start = t.node.sync()
         losses: list[float] = []
         phase_totals = PhaseTimes()
@@ -98,65 +112,32 @@ class DataParallelPlan(ParallelismPlan):
         ar_acc = aw_acc = hid_acc = 0.0
         while True:
             node = t.node
-            dev0 = node.gpu_memory[0].device
-            ar0 = node.timeline.phase_total("allreduce", dev0)
-            aw0 = node.timeline.phase_total("allreduce_wait", dev0)
-            hid0 = metrics.get_registry().total(
-                "grad_sync_hidden_seconds_total"
-            )
-            done_before = len(losses)
+            ar0, aw0, hid0 = _sync_ledgers(node)
             try:
-                if t.streaming:
-                    self._epoch_streaming(
-                        batches[cursor:], phase_totals, losses
-                    )
-                    cursor = len(batches)
-                elif overlap:
-                    self._epoch_pipelined(
-                        batches[cursor:], phase_totals, losses
-                    )
-                    cursor = len(batches)
-                else:
-                    while cursor < len(batches):
-                        batch = batches[cursor]
-                        if t.compute_ranks == "all":
-                            loss = self._step_all_ranks(batch, cursor)
-                        else:
-                            loss = self._step_symmetric(batch, phase_totals)
-                        losses.append(loss)
-                        cursor += 1
-                        t._poll_faults()
+                step = self._begin(batches[cursor:], phase_totals)
+                while cursor < len(batches):
+                    losses.append(step(batches[cursor], phase_totals))
+                    cursor += 1
+                    t._poll_faults()
                 break
             except RankFailureError as exc:
-                if overlap or t.streaming:
-                    cursor += len(losses) - done_before
-                ar_acc += node.timeline.phase_total("allreduce", dev0) - ar0
-                aw_acc += (
-                    node.timeline.phase_total("allreduce_wait", dev0) - aw0
-                )
-                hid_acc += (
-                    metrics.get_registry().total(
-                        "grad_sync_hidden_seconds_total"
-                    )
-                    - hid0
-                )
+                ar, aw, hid = _sync_ledgers(node)
+                ar_acc += ar - ar0
+                aw_acc += aw - aw0
+                hid_acc += hid - hid0
                 batches, cursor, losses = self.recover(
                     exc, batches, cursor, losses
                 )
         node = t.node
         t_epoch_end = node.sync()
+        ar, aw, hid = _sync_ledgers(node)
 
         if t.compute_ranks == "all":
+            dev0 = node.gpu_memory[0].device
             phase_totals = PhaseTimes(
-                sample=node.timeline.phase_total(
-                    "sample", node.gpu_memory[0].device
-                ),
-                gather=node.timeline.phase_total(
-                    "gather", node.gpu_memory[0].device
-                ),
-                train=node.timeline.phase_total(
-                    "train", node.gpu_memory[0].device
-                ),
+                sample=node.timeline.phase_total("sample", dev0),
+                gather=node.timeline.phase_total("gather", dev0),
+                train=node.timeline.phase_total("train", dev0),
             )
 
         stats = EpochStats(
@@ -165,21 +146,9 @@ class DataParallelPlan(ParallelismPlan):
             iterations=len(batches),
             times=phase_totals,
             epoch_time=t_epoch_end - t_epoch_start,
-            allreduce=(
-                ar_acc + node.timeline.phase_total("allreduce", dev0) - ar0
-            ),
-            allreduce_wait=(
-                aw_acc
-                + node.timeline.phase_total("allreduce_wait", dev0)
-                - aw0
-            ),
-            allreduce_hidden=(
-                hid_acc
-                + metrics.get_registry().total(
-                    "grad_sync_hidden_seconds_total"
-                )
-                - hid0
-            ),
+            allreduce=ar_acc + ar - ar0,
+            allreduce_wait=aw_acc + aw - aw0,
+            allreduce_hidden=hid_acc + hid - hid0,
         )
         t._epoch += 1
         t.history.append(stats)
@@ -187,156 +156,89 @@ class DataParallelPlan(ParallelismPlan):
             t._save_checkpoint()
         return stats
 
-    # -- step / schedule implementations -----------------------------------
+    # -- step functions ----------------------------------------------------
 
-    def _step_symmetric(self, batch: np.ndarray,
-                        phase_totals: PhaseTimes) -> float:
-        """Rank 0 computes; other ranks are charged the same durations."""
+    def _begin(self, batches: list, phase_totals: PhaseTimes):
+        """Start one attempt over ``batches``; returns the per-batch step.
+
+        Link prediction and true DDP prepare each batch inside their step.
+        The symmetric node-classification step drives the schedule's
+        loader: the prologue prefetches run here, followed by the
+        loader's barrier.
+        """
+        t = self.trainer
+        if t.task == "linkpred":
+            return self._linkpred_step
+        if t.compute_ranks == "all":
+            return self._ddp_step
+        if t.streaming:
+            loader = StreamingLoader(
+                t.store, t.sampler, prefetch_depth=t.prefetch_depth
+            )
+        elif t.overlap:
+            loader = PipelinedExecutor(t.store, t.sampler)
+        else:
+            loader = SequentialLoader(t.store, t.sampler)
+        loader.start(batches, t.rngs.rank(0), phase_totals)
+        loader.prime()
+        if loader.barrier:
+            t.node.sync()
+        return functools.partial(self._loader_step, loader)
+
+    def _loader_step(self, loader, batch: np.ndarray,
+                     phase_totals: PhaseTimes) -> float:
+        """Rank 0 computes; the loader charges every rank its schedule."""
         t = self.trainer
         node = t.node
-        res = run_iteration(
-            t.store, t.sampler, t.model, batch, 0,
-            t.rngs.rank(0), optimizer=t.optimizer, charge_train=True,
-            train_time_factor=t.layer_cost_factor,
-            model_rng=t._model_rng,
+        loss, train_t = train_step(
+            loader, t.model, t.store.labels[batch], t._model_rng,
+            t.layer_cost_factor,
         )
-        for r in range(1, node.num_gpus):
-            clk = node.gpu_clock[r]
-            clk.advance(res.times.sample, phase="sample")
-            clk.advance(res.times.gather, phase="gather")
-            clk.advance(res.times.train, phase="train")
         t.grad_sync.charge(
-            producers=[(node.gpu_clock[0].now, res.times.train)],
+            producers=[(node.gpu_clock[0].now, train_t)],
             phase="allreduce",
         )
-        node.sync()
-        phase_totals += res.times
-        return res.loss
-
-    def _epoch_pipelined(self, batches: list[np.ndarray],
-                         phase_totals: PhaseTimes,
-                         losses: list[float] | None = None) -> list[float]:
-        """Double-buffered epoch: prefetch batch i+1 while batch i trains.
-
-        Same math, same RNG stream consumption order as the sequential
-        schedule — only the clock accounting overlaps: each iteration
-        charges ``max(train_i, sample_{i+1}+gather_{i+1})``, with the first
-        batch's prefetch fully exposed (the pipeline prologue).
-
-        ``losses`` (when given) is appended to in place, one entry per
-        *completed* batch — the recovery path uses its length as the batch
-        cursor when a rank failure interrupts the pipeline.
-        """
-        t = self.trainer
-        node = t.node
-        losses = [] if losses is None else losses
-        if not batches:
-            return losses
-        executor = PipelinedExecutor(t.store, t.sampler, rank=0)
-        sample_rng = t.rngs.rank(0)
-
-        executor.prefetch(batches[0], sample_rng, mirror_ranks=True)
-        phase_totals += PhaseTimes(
-            sample=executor.last_sample_time,
-            gather=executor.last_gather_time,
-        )
-        node.sync()
-        for i, batch in enumerate(batches):
-            sg, x_np = executor.take()
-            prefetch_t = 0.0
-            if i + 1 < len(batches):
-                prefetch_t = executor.prefetch(
-                    batches[i + 1], sample_rng, mirror_ranks=True
-                )
-                phase_totals += PhaseTimes(
-                    sample=executor.last_sample_time,
-                    gather=executor.last_gather_time,
-                )
-            # training of batch i runs concurrently with that prefetch
-            loss, _ = train_batch(
-                t.model, sg, x_np, t.store.labels[batch],
-                rng=t._model_rng, optimizer=t.optimizer,
-            )
-            train_t = (
-                t.model.estimate_train_time(sg) * t.layer_cost_factor
-            )
-            executor.charge_overlapped_train(train_t, prefetch_t)
-            t.grad_sync.charge(
-                producers=[(node.gpu_clock[0].now, train_t)],
-                phase="allreduce",
-            )
+        t.optimizer.step()
+        if loader.barrier:
             node.sync()
-            losses.append(loss)
-            phase_totals += PhaseTimes(train=train_t)
-            t._poll_faults()
-        return losses
+        phase_totals += PhaseTimes(train=train_t)
+        return loss
 
-    def _epoch_streaming(self, batches: list[np.ndarray],
-                         phase_totals: PhaseTimes,
-                         losses: list[float] | None = None) -> list[float]:
-        """Out-of-core epoch: the host stream prefetches tier rows ahead.
+    def _linkpred_step(self, pairs, phase_totals: PhaseTimes) -> float:
+        """Score one pair batch, sync the dense grads through the bucketed
+        engine, push the sparse row grads over the comm stream."""
+        from repro.train.trainer import linkpred_step
 
-        Up to ``prefetch_depth`` batches are in flight: each is sampled on
-        the compute streams, its host/disk tier fetch launched on the host
-        stream, and consumed later behind the fetch event — the scheduler
-        charges only the exposed transfer tail (``host_fetch_wait``).  The
-        per-iteration ``node.sync()`` of the other schedules is deliberately
-        absent: the grad-sync barrier aligns the compute streams, while the
-        host clock is free to run ahead into future batches' transfers.
-
-        Same math, same RNG stream consumption order as the sequential
-        schedule (sampling and dropout both in batch order), so the losses
-        and trained weights are bit-identical.
-        """
         t = self.trainer
         node = t.node
-        losses = [] if losses is None else losses
-        if not batches:
-            return losses
-        loader = StreamingLoader(
-            t.store, t.sampler, rank=0,
-            prefetch_depth=t.prefetch_depth,
+        loss, res, train_t = linkpred_step(
+            node, t.model, t.sampler, t.embedding, pairs, t.rngs.rank(0),
+            t._model_rng, t._score_scale, t.layer_cost_factor,
         )
-        sample_rng = t.rngs.rank(0)
         reg = metrics.get_registry()
+        reg.counter("iterations_total", schedule="linkpred").inc(1)
+        reg.counter("phase_seconds_total", phase="sample").inc(res.t_sample)
+        reg.counter("phase_seconds_total", phase="gather").inc(res.t_gather)
+        reg.counter("phase_seconds_total", phase="train").inc(train_t)
+        # dense encoder params: the bucketed grad-sync engine (the plan is
+        # built from model.parameters() only — the embedding is not a
+        # Parameter, so the sparse rows are skipped by construction)
+        t.grad_sync.charge(
+            producers=[(node.gpu_clock[0].now, train_t)],
+            phase="allreduce",
+        )
+        t.optimizer.step()
+        # sparse rows: dedup + scatter-add + comm-lane push, touched-row
+        # state update priced on the owning ranks
+        t.sparse_optimizer.step(rank=0)
+        node.sync()
+        phase_totals += PhaseTimes(
+            sample=res.t_sample, gather=res.t_gather, train=train_t
+        )
+        return loss
 
-        depth = min(loader.prefetch_depth, len(batches))
-        for j in range(depth):
-            loader.prefetch(batches[j], sample_rng)
-            phase_totals += PhaseTimes(sample=loader.last_sample_time)
-        nxt = depth
-        for batch in batches:
-            sg, x_np = loader.take()
-            phase_totals += PhaseTimes(gather=loader.last_consume_time)
-            if nxt < len(batches):
-                loader.prefetch(batches[nxt], sample_rng)
-                phase_totals += PhaseTimes(sample=loader.last_sample_time)
-                nxt += 1
-            # training of this batch overlaps the prefetch just launched
-            loss, _ = train_batch(
-                t.model, sg, x_np, t.store.labels[batch],
-                rng=t._model_rng, optimizer=t.optimizer,
-            )
-            train_t = (
-                t.model.estimate_train_time(sg) * t.layer_cost_factor
-            )
-            for r in range(node.num_gpus):
-                node.streams.compute(r).launch(
-                    train_t, phase="train", category="compute",
-                    args={"edges": sg.total_edges(),
-                          "input_nodes": int(sg.input_nodes.shape[0])},
-                )
-            reg.counter("phase_seconds_total", phase="train").inc(train_t)
-            t.grad_sync.charge(
-                producers=[(node.gpu_clock[0].now, train_t)],
-                phase="allreduce",
-            )
-            losses.append(loss)
-            phase_totals += PhaseTimes(train=train_t)
-            t._poll_faults()
-        return losses
-
-    def _step_all_ranks(self, batch: np.ndarray, it: int) -> float:
+    def _ddp_step(self, batch: np.ndarray,
+                  phase_totals: PhaseTimes) -> float:
         """True DDP: per-rank batches, real gradient all-reduce."""
         t = self.trainer
         node = t.node
@@ -435,3 +337,14 @@ class DataParallelPlan(ParallelismPlan):
             t.fault_injector.install(new_node)
         new_node.sync(phase="recovery_wait")
         return batches
+
+
+def _sync_ledgers(node) -> tuple[float, float, float]:
+    """Exposed all-reduce, all-reduce entry wait (rank 0's timeline) and
+    hidden all-reduce seconds (the registry) accumulated so far."""
+    dev0 = node.gpu_memory[0].device
+    return (
+        node.timeline.phase_total("allreduce", dev0),
+        node.timeline.phase_total("allreduce_wait", dev0),
+        metrics.get_registry().total("grad_sync_hidden_seconds_total"),
+    )

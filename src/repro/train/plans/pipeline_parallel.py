@@ -132,20 +132,13 @@ class PipelineParallelPlan(ParallelismPlan):
 
     # -- epoch loop --------------------------------------------------------
 
-    def train_epoch(self, max_iterations, overlap):
+    def train_epoch(self, max_iterations=None):
         """One fill-drain pipelined pass over the training nodes."""
         from repro.train.trainer import EpochStats
 
         t = self.trainer
-        if overlap:
-            raise ValueError(
-                "the pipeline plan schedules its own overlap; "
-                "overlap=True is the data-parallel double-buffer knob"
-            )
         t.model.train()
-        batches = t._epoch_batches()
-        if max_iterations is not None:
-            batches = batches[:max_iterations]
+        batches = t._epoch_batches(max_iterations)
         node = t.node
         t_start = node.sync()
         bub0 = node.timeline.phase_total("pipeline_bubble")

@@ -41,6 +41,8 @@ from repro.dsm.tiered_tensor import TieredTensor
 from repro.hardware import costmodel
 from repro.ops.neighbor_sampler import NeighborSampler, SampledSubgraph
 from repro.telemetry import metrics
+from repro.train.metrics import PhaseTimes
+from repro.train.pipeline import BatchLoader, train_span_args
 
 __all__ = ["StreamingLoader"]
 
@@ -61,14 +63,18 @@ class _StagedBatch:
     cache_hits: int
 
 
-class StreamingLoader:
+class StreamingLoader(BatchLoader):
     """Prefetching loader over a tiered :class:`MultiGpuGraphStore`.
 
-    Drives the out-of-core epoch: the trainer calls :meth:`prefetch` up to
-    ``prefetch_depth`` batches ahead and :meth:`take` for the current one;
-    tier transfers ride the host stream and only their exposed tails stall
-    the compute streams.
+    Drives the out-of-core epoch: :meth:`prefetch` runs up to
+    ``prefetch_depth`` batches ahead and :meth:`take` consumes the current
+    one; tier transfers ride the host stream and only their exposed tails
+    stall the compute streams.  There is no per-iteration barrier: the
+    grad-sync join aligns the compute streams, while the host clock is
+    free to run ahead into future batches' transfers.
     """
+
+    barrier = False
 
     def __init__(
         self,
@@ -101,6 +107,7 @@ class StreamingLoader:
         self.cache = cache
         self.prefetch_depth = int(prefetch_depth)
         self._queue: deque[_StagedBatch] = deque()
+        self.times = PhaseTimes()
         #: sample duration of the most recent :meth:`prefetch`
         self.last_sample_time = 0.0
         #: consume (HBM read) duration of the most recent :meth:`take`
@@ -162,6 +169,7 @@ class StreamingLoader:
 
         reg = metrics.get_registry()
         reg.counter("phase_seconds_total", phase="sample").inc(t_sample)
+        self.times += PhaseTimes(sample=t_sample)
         self._queue.append(
             _StagedBatch(
                 subgraph=sg, features=x_np, event=event,
@@ -252,4 +260,23 @@ class StreamingLoader:
             )
         self.last_consume_time = t_consume
         self.last_exposed_time = exposed
+        self.times += PhaseTimes(gather=t_consume)
+        self._subgraph = staged.subgraph
         return staged.subgraph, staged.features
+
+    def charge_train(self, train_time: float) -> float:
+        """Launch the full train time on every compute stream.
+
+        The overlap with in-flight transfers is already priced by the fetch
+        events; returns ``train_time``.
+        """
+        node = self.node
+        for r in range(node.num_gpus):
+            node.streams.compute(r).launch(
+                train_time, phase="train", category="compute",
+                args=train_span_args(self._subgraph),
+            )
+        metrics.get_registry().counter(
+            "phase_seconds_total", phase="train"
+        ).inc(train_time)
+        return train_time

@@ -1,6 +1,8 @@
-"""The WholeGraph trainer: epoch loops, evaluation, timing collection.
+"""The WholeGraph trainer: model state, evaluation, run reports.
 
-Two execution modes:
+The epoch loop itself belongs to the trainer's parallelism plan
+(:mod:`repro.train.plans`); :class:`TrainerBase` holds the plumbing the
+single-node and the cluster trainer share.  Two execution modes:
 
 - ``compute_ranks="one"`` (default) — SPMD-symmetric simulation: rank 0
   runs the real math and its per-phase durations are charged to the other
@@ -34,11 +36,11 @@ from repro.ops.negative_sampling import (
     sample_positive_edges,
 )
 from repro.ops.neighbor_sampler import NeighborSampler
-from repro.telemetry import metrics
 from repro.train.checkpoint import save_checkpoint
 from repro.train.metrics import PhaseTimes, roc_auc
+from repro.train.pipeline import train_span_args
 from repro.train.plans.base import resolve_plan
-from repro.utils.rng import RngPool
+from repro.utils.rng import RngPool, spawn_rng
 
 #: sparse-optimizer names accepted by the link-prediction task
 SPARSE_OPTIMIZERS = {"adam": SparseAdam, "sgd": SparseSGD}
@@ -117,6 +119,44 @@ def linkpred_forward(
     )
 
 
+def linkpred_step(
+    node,
+    model,
+    sampler: NeighborSampler,
+    embedding: WholeEmbedding,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sample_rng: np.random.Generator,
+    model_rng: np.random.Generator | None,
+    score_scale: float,
+    cost_factor: float = 1.0,
+) -> tuple[float, LinkBatchResult, float]:
+    """Forward + backward of one pair batch on rank 0 of ``node``.
+
+    The train time (``estimate_train_time * cost_factor``) is charged to
+    rank 0 after its sample and gather, and all three durations are
+    mirrored onto the other ranks.  No optimizer steps: the dense grads
+    wait for the gradient sync, the embedding's row grads stay pending.
+    Returns ``(loss, forward result, train seconds)``.
+    """
+    res = linkpred_forward(
+        node, model, sampler, embedding, *pairs, 0, sample_rng, model_rng,
+        score_scale, charge=True,
+    )
+    model.zero_grad()
+    res.loss.backward()
+    train_t = model.estimate_train_time(res.subgraph) * cost_factor
+    node.gpu_clock[0].advance(
+        train_t, phase="train", category="compute",
+        args=train_span_args(res.subgraph),
+    )
+    for r in range(1, node.num_gpus):
+        clk = node.gpu_clock[r]
+        clk.advance(res.t_sample, phase="sample")
+        clk.advance(res.t_gather, phase="gather")
+        clk.advance(train_t, phase="train")
+    return float(res.loss.data), res, train_t
+
+
 @dataclass
 class EpochStats:
     """Aggregate results of one training epoch."""
@@ -151,7 +191,241 @@ class EpochStats:
         return out
 
 
-class WholeGraphTrainer:
+class TrainerBase:
+    """Plumbing shared by :class:`WholeGraphTrainer` and the cluster trainer.
+
+    Task and fault-tolerance knob checks, checkpoints, fault polling, the
+    epoch's batch list and the sampled evaluation loops.  Subclasses
+    provide ``nodes`` (every :class:`SimNode` they train on) and
+    ``store``/``sampler``/``model``/``optimizer``/``embedding`` — for a
+    cluster, machine node 0's replica.
+    """
+
+    #: named RNG stream of :meth:`evaluate`
+    _eval_stream = "eval"
+
+    def _check_task(self, task: str, sequential: bool, fault_plan,
+                    sparse_optimizer: str) -> None:
+        """Validate the task knobs; link prediction runs sequentially,
+        with transient faults only and a known sparse optimizer."""
+        if task not in ("node", "linkpred"):
+            raise ValueError("task must be 'node' or 'linkpred'")
+        if task == "linkpred":
+            from repro.faults import RankFailure
+
+            if not sequential:
+                raise ValueError(
+                    "link prediction runs in the sequential symmetric mode"
+                )
+            if fault_plan is not None and fault_plan.of_kind(RankFailure):
+                raise ValueError(
+                    "link prediction supports transient fault plans only"
+                )
+            if sparse_optimizer not in SPARSE_OPTIMIZERS:
+                raise ValueError(
+                    f"sparse_optimizer must be one of "
+                    f"{sorted(SPARSE_OPTIMIZERS)}"
+                )
+        self.task = task
+
+    def _init_linkpred(self, embedding_dim: int | None,
+                       num_pairs: int | None, sparse_optimizer: str,
+                       hidden: int) -> None:
+        """Link-prediction settings: table width, pairs per step, score
+        scale, the pair stream and the epoch length."""
+        self.embedding_dim = (
+            int(embedding_dim) if embedding_dim else self.store.feature_dim
+        )
+        self.num_pairs = int(num_pairs) if num_pairs else self.batch_size
+        self.sparse_optim_name = sparse_optimizer
+        # the encoder maps gathered embedding rows into a `hidden`-dim
+        # score space; pairs are scored by scaled dot product
+        self._score_scale = 1.0 / float(np.sqrt(hidden))
+        self._pair_rng = spawn_rng(self.seed, "linkpred-pairs")
+        self.iterations_per_epoch = max(
+            1, self.store.train_nodes.shape[0] // self.batch_size
+        )
+
+    def _init_faults(self, fault_plan: FaultPlan | None,
+                     recovery_policy: str,
+                     checkpoint_dir: str | None) -> None:
+        if recovery_policy not in ("restart", "shrink"):
+            raise ValueError("recovery_policy must be 'restart' or 'shrink'")
+        self.recovery_policy = recovery_policy
+        self.fault_plan = fault_plan
+        self.fault_injector = None
+        self._checkpoint_dir = checkpoint_dir
+        #: recovery actions taken so far (time, ranks/nodes, policy, cost)
+        self.recoveries: list[dict] = []
+
+    def _install_faults(self) -> None:
+        """Install a non-empty fault plan on every node; a restart policy
+        then needs the initial checkpoint."""
+        if self.fault_plan is not None and self.fault_plan:
+            self.fault_injector = FaultInjector(self.fault_plan).install(
+                self.nodes
+            )
+            if self._needs_checkpoints():
+                self._save_checkpoint()
+
+    def _needs_checkpoints(self) -> bool:
+        from repro.faults import RankFailure
+
+        return (
+            self.fault_injector is not None
+            and self.recovery_policy == "restart"
+            and bool(self.fault_plan.of_kind(RankFailure))
+        )
+
+    def _checkpoint_path(self) -> str:
+        if self._checkpoint_dir is None:
+            self._checkpoint_dir = tempfile.mkdtemp(prefix="wg-ckpt-")
+        os.makedirs(self._checkpoint_dir, exist_ok=True)
+        return os.path.join(self._checkpoint_dir, "latest.npz")
+
+    def _save_checkpoint(self) -> None:
+        save_checkpoint(
+            self._checkpoint_path(), self.model, self.optimizer,
+            epoch=self._epoch,
+        )
+
+    def _now(self) -> float:
+        return max(c.now for node in self.nodes for c in node.gpu_clock)
+
+    def _poll_faults(self) -> None:
+        """Detect due permanent failures (raises :class:`RankFailureError`).
+
+        Called at iteration boundaries — the granularity at which a real
+        DDP run notices a dead peer (the next collective hangs).
+        """
+        if self.fault_injector is not None:
+            self.fault_injector.poll_rank_failures(
+                self._now(), node_id=self._fault_node_id
+            )
+
+    def _epoch_batches(
+        self, max_iterations: int | None = None
+    ) -> list:
+        """The epoch's batches, truncated to ``max_iterations`` steps.
+
+        Node classification cuts the shuffled train nodes into global
+        batches (``_batches_per_step`` of them per step); link prediction
+        draws one pair batch per step from the pair stream.
+        """
+        if self.task == "linkpred":
+            n = self.iterations_per_epoch
+            if max_iterations is not None:
+                n = min(n, int(max_iterations))
+            return [
+                sample_link_batch(
+                    self.store.csr, self.num_pairs, self._pair_rng
+                )
+                for _ in range(n)
+            ]
+        order = self.epoch_rng.permutation(self.store.train_nodes)
+        nb = max(1, order.shape[0] // self.batch_size)
+        batches = [
+            order[i * self.batch_size : (i + 1) * self.batch_size]
+            for i in range(nb)
+        ]
+        if max_iterations is not None:
+            batches = batches[: max_iterations * self._batches_per_step]
+        return batches
+
+    def _report_config(self) -> dict:
+        """Run-manifest config keys both trainers record."""
+        cfg = {
+            "model": self.model_name,
+            "batch_size": self.batch_size,
+            "overlap": self.overlap,
+            "bucket_cap_mb": self.grad_sync.bucket_cap_mb,
+            "overlap_grad_sync": self.grad_sync.overlap,
+            "grad_buckets": self.grad_sync.num_buckets,
+            # the plan makes a recovered run reproducible from its
+            # manifest; None for both no-plan and empty-plan runs so
+            # the two stay byte-identical (determinism contract)
+            "fault_plan": (
+                self.fault_plan.to_config()
+                if self.fault_plan is not None and self.fault_plan
+                else None
+            ),
+            "recovery_policy": self.recovery_policy,
+        }
+        # link-prediction keys appear only for the recsys task, so the
+        # node-classification manifests (and goldens) stay byte-identical
+        if self.task == "linkpred":
+            cfg["task"] = "linkpred"
+            cfg["embedding_dim"] = self.embedding_dim
+            cfg["num_pairs"] = self.num_pairs
+            cfg["sparse_optimizer"] = self.sparse_optim_name
+        return cfg
+
+    def _linkpred_extra(self) -> dict:
+        """Embedding statistics for the manifest's ``extra`` block."""
+        if self.task != "linkpred":
+            return {}
+        return {
+            "embedding": self.embedding.stats_dict(),
+            "sparse_state_bytes": self.sparse_optimizer.state_bytes(),
+        }
+
+    # -- evaluation ----------------------------------------------------------
+
+    def evaluate(self, nodes: np.ndarray | None = None,
+                 batch_size: int | None = None) -> float:
+        """Sampled-inference accuracy over ``nodes`` (default: validation).
+
+        Functional only (no clock charges).
+        """
+        store = self.store
+        if nodes is None:
+            nodes = store.val_nodes
+        nodes = np.asarray(nodes, dtype=np.int64)
+        batch_size = batch_size or self.batch_size
+        model = self.model
+        model.eval()
+        eval_sampler = NeighborSampler(
+            store, self.sampler.fanouts, charge=False
+        )
+        rng = spawn_rng(self.seed, self._eval_stream)
+        correct = 0
+        for i in range(0, nodes.shape[0], batch_size):
+            seeds = nodes[i : i + batch_size]
+            sg = eval_sampler.sample(seeds, 0, rng)
+            x = Tensor(store.feature_tensor.gather_no_cost(sg.input_nodes))
+            logits = model(sg, x, None)
+            correct += int(
+                (logits.data.argmax(axis=-1) == store.labels[seeds]).sum()
+            )
+        model.train()
+        return correct / max(nodes.shape[0], 1)
+
+    def evaluate_linkpred(self, num_pairs: int = 2000) -> float:
+        """Held-out link-prediction AUC over fresh positive/negative pairs.
+
+        Functional only (no clock charges); every call draws the same
+        ``linkpred-eval`` stream from its start, so repeated evaluations of
+        the same trained state agree bitwise.
+        """
+        if self.task != "linkpred":
+            raise ValueError("evaluate_linkpred needs task='linkpred'")
+        rng = spawn_rng(self.seed, "linkpred-eval")
+        src, dst, labels = sample_link_batch(
+            self.store.csr, num_pairs, rng
+        )
+        self.model.eval()
+        eval_sampler = NeighborSampler(
+            self.store, self.sampler.fanouts, charge=False
+        )
+        res = linkpred_forward(
+            self.node, self.model, eval_sampler, self.embedding,
+            src, dst, labels, 0, rng, None, self._score_scale, charge=False,
+        )
+        self.model.train()
+        return roc_auc(res.scores.data, labels)
+
+
+class WholeGraphTrainer(TrainerBase):
     """Drives mini-batch GNN training on a :class:`MultiGpuGraphStore`."""
 
     def __init__(
@@ -288,51 +562,25 @@ class WholeGraphTrainer:
         #: sequential and pipelined schedules consume both identically
         self._model_rng = self.rngs.named("dropout")
 
-        if task not in ("node", "linkpred"):
-            raise ValueError("task must be 'node' or 'linkpred'")
-        if task == "linkpred" and (
-            compute_ranks == "all" or overlap or streaming
-        ):
-            raise ValueError(
-                "link prediction runs in the sequential symmetric mode"
-            )
-        self.task = task
-
+        self._check_task(
+            task, compute_ranks == "one" and not (overlap or streaming),
+            fault_plan, sparse_optimizer,
+        )
         init_rng = self.rngs.named("init")
         if task == "linkpred":
-            from repro.faults import RankFailure
-
-            if fault_plan is not None and fault_plan.of_kind(RankFailure):
-                raise ValueError(
-                    "link prediction supports transient fault plans only"
-                )
-            if sparse_optimizer not in SPARSE_OPTIMIZERS:
-                raise ValueError(
-                    f"sparse_optimizer must be one of "
-                    f"{sorted(SPARSE_OPTIMIZERS)}"
-                )
-            self.embedding_dim = (
-                int(embedding_dim) if embedding_dim else store.feature_dim
+            self._init_linkpred(
+                embedding_dim, num_pairs, sparse_optimizer, hidden
             )
-            self.num_pairs = int(num_pairs) if num_pairs else self.batch_size
-            self.sparse_optim_name = sparse_optimizer
-            # the encoder maps gathered embedding rows into a `hidden`-dim
-            # score space; pairs are scored by scaled dot product
             self.model = build_model(
                 model_name, self.embedding_dim, hidden, init_rng,
                 hidden=hidden, num_layers=num_layers, dropout=dropout,
             )
-            self._score_scale = 1.0 / float(np.sqrt(hidden))
             self.embedding = WholeEmbedding(
                 self.node, store.num_nodes, self.embedding_dim,
                 rng=self.rngs.named("embedding"),
             )
             self.sparse_optimizer = SPARSE_OPTIMIZERS[sparse_optimizer](
                 [self.embedding], lr=lr
-            )
-            self._pair_rng = self.rngs.named("linkpred-pairs")
-            self.iterations_per_epoch = max(
-                1, store.train_nodes.shape[0] // self.batch_size
             )
         else:
             self.embedding = None
@@ -347,19 +595,12 @@ class WholeGraphTrainer:
         self.history: list[EpochStats] = []
 
         # -- fault injection & recovery ------------------------------------
-        if recovery_policy not in ("restart", "shrink"):
-            raise ValueError("recovery_policy must be 'restart' or 'shrink'")
+        self._init_faults(fault_plan, recovery_policy, checkpoint_dir)
         if recovery_policy == "shrink" and compute_ranks == "all":
             raise ValueError(
                 "elastic shrink re-shards the symmetric store; use "
                 "recovery_policy='restart' with compute_ranks='all'"
             )
-        self.recovery_policy = recovery_policy
-        self.fault_plan = fault_plan
-        self.fault_injector = None
-        self._checkpoint_dir = checkpoint_dir
-        #: recovery actions taken so far (time, ranks, policy, cost)
-        self.recoveries: list[dict] = []
 
         # -- parallelism plan ----------------------------------------------
         # the plan owns replicas, gradient sync and epoch scheduling; it
@@ -367,197 +608,28 @@ class WholeGraphTrainer:
         # self.replicas / self.ddp / self.grad_sync
         self.plan = resolve_plan(plan)
         self.plan.bind(self)
+        self._install_faults()
 
-        if fault_plan is not None and fault_plan:
-            self.fault_injector = FaultInjector(fault_plan).install(self.node)
-            if self._needs_checkpoints():
-                self._save_checkpoint()
+    #: one global batch per step
+    _batches_per_step = 1
 
-    def _needs_checkpoints(self) -> bool:
-        from repro.faults import RankFailure
+    @property
+    def nodes(self) -> list:
+        return [self.node]
 
-        return (
-            self.fault_injector is not None
-            and self.recovery_policy == "restart"
-            and bool(self.fault_plan.of_kind(RankFailure))
-        )
+    @property
+    def _fault_node_id(self) -> int:
+        # only failures scheduled on this trainer's node fire
+        return self.node.node_id
 
-    def _checkpoint_path(self) -> str:
-        if self._checkpoint_dir is None:
-            self._checkpoint_dir = tempfile.mkdtemp(prefix="wg-ckpt-")
-        os.makedirs(self._checkpoint_dir, exist_ok=True)
-        return os.path.join(self._checkpoint_dir, "latest.npz")
-
-    def _save_checkpoint(self) -> None:
-        save_checkpoint(
-            self._checkpoint_path(), self.model, self.optimizer,
-            epoch=self._epoch,
-        )
-
-    # -- training ---------------------------------------------------------------------
-
-    def _epoch_batches(self) -> list[np.ndarray]:
-        """Shuffled train nodes cut into per-step global batches."""
-        order = self.epoch_rng.permutation(self.store.train_nodes)
-        nb = max(1, order.shape[0] // self.batch_size)
-        return [
-            order[i * self.batch_size : (i + 1) * self.batch_size]
-            for i in range(nb)
-        ]
-
-    def train_epoch(
-        self,
-        max_iterations: int | None = None,
-        overlap: bool | None = None,
-    ) -> EpochStats:
+    def train_epoch(self, max_iterations: int | None = None) -> EpochStats:
         """One pass over the training nodes (optionally truncated).
 
-        ``overlap`` overrides the constructor's schedule for this epoch;
-        with the pipelined schedule, phase totals still record the *full*
-        per-phase work while ``epoch_time`` reflects the overlap.
+        The plan runs the epoch under the constructor's schedule; with the
+        pipelined or streaming schedule, phase totals still record the
+        *full* per-phase work while ``epoch_time`` reflects the overlap.
         """
-        overlap = self.overlap if overlap is None else bool(overlap)
-        if self.task == "linkpred":
-            if overlap:
-                raise ValueError(
-                    "link prediction runs in the sequential schedule"
-                )
-            return self._train_epoch_linkpred(max_iterations)
-        if overlap and self.compute_ranks == "all":
-            raise ValueError(
-                "the pipelined schedule runs in the symmetric mode only"
-            )
-        return self.plan.train_epoch(max_iterations, overlap)
-
-    # -- fault polling & recovery -------------------------------------------------
-
-    def _poll_faults(self) -> None:
-        """Detect due permanent failures (raises :class:`RankFailureError`).
-
-        Called at iteration boundaries — the granularity at which a real
-        DDP run notices a dead peer (the next collective hangs).
-        """
-        injector = self.node.fault_injector
-        if injector is not None:
-            injector.poll_rank_failures(
-                max(c.now for c in self.node.gpu_clock),
-                node_id=self.node.node_id,
-            )
-
-    # -- link prediction over the DSM embedding table ---------------------------
-
-    def _train_epoch_linkpred(self, max_iterations: int | None) -> EpochStats:
-        """One link-prediction epoch (sequential symmetric schedule)."""
-        self.model.train()
-        n_iter = self.iterations_per_epoch
-        if max_iterations is not None:
-            n_iter = min(n_iter, int(max_iterations))
-        node = self.node
-        dev0 = node.gpu_memory[0].device
-        ar0 = node.timeline.phase_total("allreduce", dev0)
-        aw0 = node.timeline.phase_total("allreduce_wait", dev0)
-        hid0 = metrics.get_registry().total("grad_sync_hidden_seconds_total")
-        t_start = node.sync()
-        losses: list[float] = []
-        phase_totals = PhaseTimes()
-        for _ in range(n_iter):
-            losses.append(self._step_linkpred(phase_totals))
-            self._poll_faults()
-        t_end = node.sync()
-        stats = EpochStats(
-            epoch=self._epoch,
-            mean_loss=float(np.mean(losses)) if losses else float("nan"),
-            iterations=n_iter,
-            times=phase_totals,
-            epoch_time=t_end - t_start,
-            allreduce=node.timeline.phase_total("allreduce", dev0) - ar0,
-            allreduce_wait=(
-                node.timeline.phase_total("allreduce_wait", dev0) - aw0
-            ),
-            allreduce_hidden=(
-                metrics.get_registry().total(
-                    "grad_sync_hidden_seconds_total"
-                )
-                - hid0
-            ),
-        )
-        self._epoch += 1
-        self.history.append(stats)
-        return stats
-
-    def _step_linkpred(self, phase_totals: PhaseTimes) -> float:
-        """One link-prediction step: score pairs, sync dense grads through
-        the bucketed engine, push sparse row grads over the comm stream."""
-        node = self.node
-        clock = node.gpu_clock[0]
-        src, dst, labels = sample_link_batch(
-            self.store.csr, self.num_pairs, self._pair_rng
-        )
-        res = linkpred_forward(
-            node, self.model, self.sampler, self.embedding,
-            src, dst, labels, 0, self.rngs.rank(0), self._model_rng,
-            self._score_scale, charge=True,
-        )
-        loss_val = float(res.loss.data)
-        self.model.zero_grad()
-        res.loss.backward()
-        self.optimizer.step()
-        sg = res.subgraph
-        train_t = self.model.estimate_train_time(sg) * self.layer_cost_factor
-        clock.advance(
-            train_t, phase="train", category="compute",
-            args={"edges": sg.total_edges(),
-                  "input_nodes": int(sg.input_nodes.shape[0])},
-        )
-        reg = metrics.get_registry()
-        reg.counter("iterations_total", schedule="linkpred").inc(1)
-        reg.counter("phase_seconds_total", phase="sample").inc(res.t_sample)
-        reg.counter("phase_seconds_total", phase="gather").inc(res.t_gather)
-        reg.counter("phase_seconds_total", phase="train").inc(train_t)
-        for r in range(1, node.num_gpus):
-            clk = node.gpu_clock[r]
-            clk.advance(res.t_sample, phase="sample")
-            clk.advance(res.t_gather, phase="gather")
-            clk.advance(train_t, phase="train")
-        # dense encoder params: the bucketed grad-sync engine (the plan is
-        # built from model.parameters() only — the embedding is not a
-        # Parameter, so the sparse rows are skipped by construction)
-        self.grad_sync.charge(
-            producers=[(clock.now, train_t)],
-            phase="allreduce",
-        )
-        # sparse rows: dedup + scatter-add + comm-lane push, touched-row
-        # state update priced on the owning ranks
-        self.sparse_optimizer.step(rank=0)
-        node.sync()
-        phase_totals += PhaseTimes(
-            sample=res.t_sample, gather=res.t_gather, train=train_t
-        )
-        return loss_val
-
-    def evaluate_linkpred(self, num_pairs: int = 2000) -> float:
-        """Held-out link-prediction AUC over fresh positive/negative pairs.
-
-        Functional only (no clock charges); every call draws the same
-        ``linkpred-eval`` stream from its start, so repeated evaluations of
-        the same trained state agree bitwise.
-        """
-        if self.task != "linkpred":
-            raise ValueError("evaluate_linkpred needs task='linkpred'")
-        rng = self.rngs.named("linkpred-eval")
-        src, dst, labels = sample_link_batch(
-            self.store.csr, num_pairs, rng
-        )
-        self.model.eval()
-        eval_sampler = NeighborSampler(
-            self.store, self.sampler.fanouts, charge=False
-        )
-        res = linkpred_forward(
-            self.node, self.model, eval_sampler, self.embedding,
-            src, dst, labels, 0, rng, None, self._score_scale, charge=False,
-        )
-        self.model.train()
-        return roc_auc(res.scores.data, labels)
+        return self.plan.train_epoch(max_iterations)
 
     # -- run artifacts ----------------------------------------------------------------
 
@@ -573,27 +645,13 @@ class WholeGraphTrainer:
         """
         from repro.telemetry.run_report import report_from_node
 
-        cfg = {
-            "model": self.model_name,
-            "batch_size": self.batch_size,
+        cfg = self._report_config()
+        cfg.update({
             "fanouts": self.sampler.fanouts,
             "num_gpus": self.node.num_gpus,
             "compute_ranks": self.compute_ranks,
-            "overlap": self.overlap,
             "layer_cost_factor": self.layer_cost_factor,
-            "bucket_cap_mb": self.grad_sync.bucket_cap_mb,
-            "overlap_grad_sync": self.grad_sync.overlap,
-            "grad_buckets": self.grad_sync.num_buckets,
-            # the plan makes a recovered run reproducible from its
-            # manifest; None for both no-plan and empty-plan runs so
-            # the two stay byte-identical (determinism contract)
-            "fault_plan": (
-                self.fault_plan.to_config()
-                if self.fault_plan is not None and self.fault_plan
-                else None
-            ),
-            "recovery_policy": self.recovery_policy,
-        }
+        })
         # parallelism-plan keys appear only for non-default plans, so the
         # data-parallel manifests (and the goldens) stay byte-identical
         cfg.update(self.plan.report_config())
@@ -605,18 +663,7 @@ class WholeGraphTrainer:
         if self.streaming:
             cfg["streaming"] = True
             cfg["prefetch_depth"] = self.prefetch_depth
-        # link-prediction keys appear only for the recsys task, so the
-        # node-classification manifests (and goldens) stay byte-identical
-        if self.task == "linkpred":
-            cfg["task"] = "linkpred"
-            cfg["embedding_dim"] = self.embedding_dim
-            cfg["num_pairs"] = self.num_pairs
-            cfg["sparse_optimizer"] = self.sparse_optim_name
-            extra = {
-                "embedding": self.embedding.stats_dict(),
-                "sparse_state_bytes": self.sparse_optimizer.state_bytes(),
-                **(extra or {}),
-            }
+        extra = {**self._linkpred_extra(), **(extra or {})}
         return report_from_node(
             name,
             self.node,
@@ -674,31 +721,3 @@ class WholeGraphTrainer:
             out[i : i + seeds.shape[0]] = logits.data.argmax(axis=-1)
         self.model.train()
         return out
-
-    # -- evaluation ----------------------------------------------------------------------
-
-    def evaluate(self, nodes: np.ndarray | None = None,
-                 batch_size: int | None = None) -> float:
-        """Sampled-inference accuracy over ``nodes`` (default: validation)."""
-        if nodes is None:
-            nodes = self.store.val_nodes
-        nodes = np.asarray(nodes, dtype=np.int64)
-        batch_size = batch_size or self.batch_size
-        self.model.eval()
-        eval_sampler = NeighborSampler(
-            self.store, self.sampler.fanouts, charge=False
-        )
-        rng = self.rngs.named("eval")
-        correct = 0
-        for i in range(0, nodes.shape[0], batch_size):
-            seeds = nodes[i : i + batch_size]
-            sg = eval_sampler.sample(seeds, 0, rng)
-            x = Tensor(
-                self.store.feature_tensor.gather_no_cost(sg.input_nodes)
-            )
-            logits = self.model(sg, x, None)
-            correct += int(
-                (logits.data.argmax(axis=-1) == self.store.labels[seeds]).sum()
-            )
-        self.model.train()
-        return correct / max(nodes.shape[0], 1)

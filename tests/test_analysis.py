@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from repro.faults import FaultPlan, StragglerGpu
 from repro.graph import MultiGpuGraphStore
@@ -123,6 +123,9 @@ class TestCriticalPathExactness:
 
 
 @given(stream_programs())
+# two abutting spans whose durations sum one ulp short of the makespan
+@example((1, [(0, 1.9066133147669797, [], False), (0, 0.0, [], True)],
+          10.68154005361104))
 def test_critical_path_covers_random_dag(program):
     """On an arbitrary scheduler DAG the path length equals the makespan."""
     _, _, events, streams = _run_program(program)

@@ -1,13 +1,11 @@
-"""Phase profiler, checkpointing, dataset IO, and LR schedules."""
+"""Phase profiler and checkpointing."""
 
 import numpy as np
 import pytest
 
-from repro.graph import MultiGpuGraphStore, load_dataset
-from repro.graph.io import load_saved_dataset, save_dataset
+from repro.graph import MultiGpuGraphStore
 from repro.hardware import SimNode
-from repro.nn import Adam, Linear, SGD, build_model
-from repro.nn.lr_scheduler import CosineAnnealingLR, LinearWarmup, StepLR
+from repro.nn import Adam, SGD, build_model
 from repro.telemetry.profiler import PhaseProfiler
 from repro.train import WholeGraphTrainer
 from repro.train.checkpoint import load_checkpoint, save_checkpoint
@@ -149,70 +147,3 @@ def test_checkpoint_shape_mismatch(tmp_path, rng):
     other = build_model("gcn", 6, 2, rng, hidden=4, num_layers=1)
     with pytest.raises(ValueError, match="shape"):
         load_checkpoint(path, other, Adam(other.parameters()))
-
-
-# -- dataset IO -------------------------------------------------------------------------
-
-def test_dataset_roundtrip(tmp_path):
-    ds = load_dataset("ogbn-products", num_nodes=800, seed=3,
-                      feature_dim=8, num_classes=4, edge_weighted=True)
-    path = tmp_path / "ds.npz"
-    save_dataset(path, ds)
-    back = load_saved_dataset(path)
-    assert back.spec.name == ds.spec.name
-    assert np.array_equal(back.graph.indptr, ds.graph.indptr)
-    assert np.array_equal(back.graph.indices, ds.graph.indices)
-    assert np.array_equal(back.graph.edge_weights, ds.graph.edge_weights)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
-    assert np.array_equal(back.train_nodes, ds.train_nodes)
-    assert back.num_classes == ds.num_classes
-
-
-def test_dataset_roundtrip_without_weights(tmp_path, small_dataset):
-    path = tmp_path / "ds.npz"
-    save_dataset(path, small_dataset)
-    back = load_saved_dataset(path)
-    assert back.graph.edge_weights is None
-    # a store built from the reloaded dataset behaves identically
-    s1 = MultiGpuGraphStore(SimNode(), small_dataset, seed=0)
-    s2 = MultiGpuGraphStore(SimNode(), back, seed=0)
-    assert np.array_equal(s1.csr.indices, s2.csr.indices)
-
-
-# -- LR schedules -------------------------------------------------------------------------
-
-def test_step_lr_decays(rng):
-    opt = SGD(Linear(2, 2, rng).parameters(), lr=1.0)
-    sched = StepLR(opt, step_size=3, gamma=0.1)
-    lrs = [sched.step() for _ in range(7)]
-    assert lrs[0] == 1.0 and lrs[2] == pytest.approx(0.1)
-    assert lrs[5] == pytest.approx(0.01)
-    assert opt.lr == lrs[-1]
-
-
-def test_cosine_lr_endpoints(rng):
-    opt = SGD(Linear(2, 2, rng).parameters(), lr=2.0)
-    sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.2)
-    lrs = [sched.step() for _ in range(12)]
-    assert lrs[0] < 2.0  # decaying from step 1
-    assert lrs[9] == pytest.approx(0.2)
-    assert lrs[11] == pytest.approx(0.2)  # clamps past t_max
-    assert all(b <= a + 1e-9 for a, b in zip(lrs, lrs[1:]))
-
-
-def test_warmup_ramps_then_holds(rng):
-    opt = SGD(Linear(2, 2, rng).parameters(), lr=1.0)
-    sched = LinearWarmup(opt, warmup_steps=4)
-    lrs = [sched.step() for _ in range(6)]
-    assert lrs == pytest.approx([0.25, 0.5, 0.75, 1.0, 1.0, 1.0])
-
-
-def test_scheduler_validation(rng):
-    opt = SGD(Linear(2, 2, rng).parameters(), lr=1.0)
-    with pytest.raises(ValueError):
-        StepLR(opt, step_size=0)
-    with pytest.raises(ValueError):
-        CosineAnnealingLR(opt, t_max=0)
-    with pytest.raises(ValueError):
-        LinearWarmup(opt, warmup_steps=0)

@@ -1,4 +1,4 @@
-"""With-replacement sampler variant and early stopping."""
+"""With-replacement sampler variant."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.ops import (
     batch_sample_with_replacement,
     batch_sample_without_replacement,
 )
-from repro.train.early_stopping import EarlyStopping
 
 
 @given(
@@ -60,45 +59,3 @@ def test_with_replacement_uniform_marginals():
     res = batch_sample_with_replacement(np.full(5000, 8), 4, rng)
     freq = np.bincount(res.ravel(), minlength=8) / res.size
     assert np.allclose(freq, 1 / 8, atol=0.01)
-
-
-# -- early stopping ----------------------------------------------------------------
-
-def test_early_stopping_max_mode():
-    es = EarlyStopping(patience=2, mode="max")
-    assert not es.step(0.5)
-    assert not es.step(0.6)  # improvement
-    assert not es.step(0.55)  # bad 1
-    assert es.step(0.58)  # bad 2 -> stop
-    assert es.best == 0.6
-    assert es.best_step == 1
-
-
-def test_early_stopping_min_mode():
-    es = EarlyStopping(patience=1, mode="min")
-    assert not es.step(1.0)
-    assert not es.step(0.5)
-    assert es.step(0.7)
-
-
-def test_early_stopping_min_delta():
-    es = EarlyStopping(patience=1, min_delta=0.1, mode="max")
-    es.step(0.5)
-    # +0.05 is within min_delta -> counts as no improvement
-    assert es.step(0.55)
-
-
-def test_early_stopping_resets_on_improvement():
-    es = EarlyStopping(patience=2, mode="max")
-    es.step(0.1)
-    es.step(0.05)  # bad 1
-    es.step(0.2)  # improvement resets
-    assert es.num_bad == 0
-    assert not es.should_stop
-
-
-def test_early_stopping_validation():
-    with pytest.raises(ValueError):
-        EarlyStopping(patience=0)
-    with pytest.raises(ValueError):
-        EarlyStopping(mode="sideways")
