@@ -8,6 +8,8 @@ not the simulated DGX times.
 import numpy as np
 import pytest
 
+from repro.nn import Tensor
+from repro.nn import functional as F
 from repro.ops.append_unique import append_unique
 from repro.ops.sampling import batch_sample_without_replacement
 from repro.ops.segment import scatter_add_rows, segment_sum
@@ -57,3 +59,22 @@ def test_bench_gspmm_backward(benchmark):
     indices = RNG.integers(0, 60_000, size=int(indptr[-1]))
     g = RNG.standard_normal((20_000, 128)).astype(np.float32)
     benchmark(gspmm_backward_features, indptr, indices, g, 60_000)
+
+
+def test_bench_gat_fused_aggregate(benchmark):
+    """GAT's per-head aggregation, forward + backward, at E≈300k, H=4,
+    D=64: one SpMM over the head-expanded CSR, then the transposed SpMM
+    and the g-SDDMM for the attention gradient."""
+    sizes = RNG.integers(0, 30, size=20_000)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = RNG.integers(0, 60_000, size=int(indptr[-1]))
+    alpha = RNG.random((int(indptr[-1]), 4)).astype(np.float32)
+    x = RNG.standard_normal((60_000, 4, 64)).astype(np.float32)
+    g = RNG.standard_normal((20_000, 4, 64)).astype(np.float32)
+
+    def forward_backward():
+        a = Tensor(alpha, requires_grad=True)
+        h = Tensor(x, requires_grad=True)
+        F.spmm_sum(indptr, indices, h, edge_weights=a).backward(g)
+
+    benchmark(forward_backward)

@@ -12,11 +12,13 @@ Three measurements per run:
   so any drift means the scheduler's behaviour changed;
 - **hot-path speedup** (macro) — one Table-5-scale GAT cell
   (``measure_framework``-shaped workload) timed twice in the same process:
-  once with the pre-optimization ``segment_sum`` accumulator swapped back
-  in, once with the shipped F-order kernel.  The optimized epoch must take
-  at most 75% of the reference wall-clock (the >=25% reduction this pass
-  claims).  Only the *ratio* is gated — both runs share the process, so the
-  ratio is robust to machine speed; raw wall-clock goes in the notes.
+  once with the pre-optimization GAT edge path swapped back in (per-edge
+  ``(E, H, D)`` messages reduced by the C-order ``segment_sum``
+  accumulator, gradients scattered by argsort), once with the shipped
+  fused SDDMM/SpMM layer.  The optimized epoch must take at most 75% of
+  the reference wall-clock (the >=25% reduction the hot-path work
+  claims).  Only the *ratio* is gated — both runs share the process, so
+  the ratio is robust to machine speed; raw wall-clock goes in the notes.
 
 The deterministic numbers and the ratios are written to
 ``results/scheduler.json`` in the ``compare_runs.py`` manifest shape; CI
@@ -34,14 +36,18 @@ from repro.experiments.common import get_dataset, measure_wholegraph
 from repro.graph import MultiGpuGraphStore
 from repro.graph.datasets import load_dataset
 from repro.hardware import SimNode
+from repro.nn import GATConv, Tensor
+from repro.nn import functional as F
+from repro.ops import segment as _segment
 from repro.telemetry.report import format_table
 from repro.train import WholeGraphTrainer
 
-# -- hot-path reference kernel ------------------------------------------------------
+# -- hot-path reference kernels -----------------------------------------------------
 
-#: Table-5-scale cell for the macro comparison: large enough that the
-#: per-edge GAT tensors dominate (the profiled regime where ``cumsum`` was
-#: ~65% of epoch time), small enough for a CI job.
+#: Table-5-scale cell for the macro comparison: large enough that the GAT
+#: edge stage dominates the reference epoch (the profiled regime where the
+#: per-edge tensors' ``cumsum`` was ~65% of epoch time), small enough for a
+#: CI job.
 MACRO_KW = dict(num_nodes=15_000, iterations=1, batch_size=256)
 
 
@@ -61,26 +67,104 @@ def _reference_segment_sum(values, indptr):
     return out.astype(values.dtype, copy=False)
 
 
-class _patched_segment_sum:
-    """Swap the reference accumulator into every consumer module.
+# The materialised GAT edge path the fused layer replaced, kept verbatim
+# (module-attribute lookups of ``_segment.segment_sum`` included, so the
+# accumulator swap below reaches them).
 
-    ``repro.nn.functional`` resolves ``segment_sum`` through the module
-    attribute, but ``repro.ops.spmm`` imported the name directly, so both
-    bindings are replaced.
+
+def _reference_segment_sum_op(indptr, values):
+    """Autograd segment sum over CSR edge order (GAT's aggregation)."""
+    out = _segment.segment_sum(values.data, indptr)
+    seg_ids = _segment.segment_ids_from_indptr(indptr)
+
+    def backward(g):
+        return (g[seg_ids],)
+
+    return Tensor._make(out, (values,), backward)
+
+
+def _reference_edge_mul_gather(indices, alpha, src_feat):
+    """Per-edge message ``α_e ⊙ x[src_e]`` with broadcast over the feature
+    axis (``alpha``: ``(E, H)``, ``src_feat``: ``(N, H, D)``)."""
+    idx = np.asarray(indices, dtype=np.int64)
+    out = src_feat.data[idx]  # (E, H, D)
+    out *= alpha.data[..., None]
+
+    def backward(g):
+        # re-gather instead of capturing the (E, H, D) tensor in the
+        # closure — halves the op's resident footprint on big batches
+        gathered = src_feat.data[idx]
+        g_alpha = (g * gathered).sum(axis=-1)
+        # reuse the gathered buffer for the source-gradient messages
+        np.multiply(g, alpha.data[..., None], out=gathered)
+        g_src = _segment.scatter_add_rows(
+            src_feat.data.shape[0], idx, gathered
+        )
+        return (g_alpha, g_src)
+
+    return Tensor._make(out, (alpha, src_feat), backward)
+
+
+def _reference_edge_gather_add(indptr, indices, dst_values, src_values):
+    """Per-edge ``dst_values[row_e] + src_values[col_e]`` (GAT logits).
+
+    Backward segment-sums into rows and scatter-adds into columns.
+    """
+    seg_ids = _segment.segment_ids_from_indptr(indptr)
+    idx = np.asarray(indices, dtype=np.int64)
+    out = dst_values.data[seg_ids] + src_values.data[idx]
+
+    def backward(g):
+        # dst_values may have more rows than segments (targets are a prefix
+        # of the source frontier); rows beyond the targets get zero grad.
+        g_dst = np.zeros_like(dst_values.data)
+        g_dst[: indptr.shape[0] - 1] = _segment.segment_sum(g, indptr)
+        g_src = _segment.scatter_add_rows(src_values.data.shape[0], idx, g)
+        return (g_dst, g_src)
+
+    return Tensor._make(out, (dst_values, src_values), backward)
+
+
+def _reference_gat_forward(self, block, x):
+    """``GATConv.forward`` over materialised ``(E, H, D)`` messages."""
+    h = self.linear(x).reshape(-1, self.num_heads, self.head_dim)
+    # per-node attention halves: (N, H)
+    e_dst = (h * self.att_dst).sum(axis=2)
+    e_src = (h * self.att_src).sum(axis=2)
+    logits = F.leaky_relu(
+        _reference_edge_gather_add(block.indptr, block.indices, e_dst, e_src),
+        self.negative_slope,
+    )
+    alpha = F.edge_softmax(block.indptr, logits)  # (E, H)
+    msgs = _reference_edge_mul_gather(block.indices, alpha, h)  # (E, H, D)
+    out = _reference_segment_sum_op(block.indptr, msgs)  # (T, H, D)
+    return out.reshape(-1, self.out_features) + self.bias
+
+
+class _patched_reference:
+    """Swap the reference GAT edge path and accumulator back in.
+
+    ``GATConv.forward`` is replaced by :func:`_reference_gat_forward`.
+    ``repro.ops.segment`` resolves ``segment_sum`` through its module
+    global (``scatter_add_rows``, ``segment_softmax``), but
+    ``repro.ops.spmm`` imported the name directly, so both bindings are
+    replaced.
     """
 
     def __enter__(self):
-        import repro.ops.segment as seg
         import repro.ops.spmm as spmm
 
-        self._mods = (seg, spmm)
-        self._orig = seg.segment_sum
+        self._mods = (_segment, spmm)
+        self._orig = _segment.segment_sum
+        self._forward = GATConv.forward
         for mod in self._mods:
             mod.segment_sum = _reference_segment_sum
+        GATConv.forward = _reference_gat_forward
 
     def __exit__(self, *exc):
         for mod in self._mods:
             mod.segment_sum = self._orig
+        GATConv.forward = self._forward
 
 
 # -- the three measurements ---------------------------------------------------------
@@ -170,7 +254,7 @@ def _run_all():
     # then time reference vs optimized back to back in the same process
     get_dataset("ogbn-products", MACRO_KW["num_nodes"], 0)
     _hotpath_cell()
-    with _patched_segment_sum():
+    with _patched_reference():
         t_ref = _hotpath_cell()
     t_opt = _hotpath_cell()
     return (launches, storm_host, storm_makespan, stats, phase_busy,

@@ -1,14 +1,18 @@
 """Autograd-aware functional ops: activations, losses, and the graph ops.
 
-The graph ops wrap :mod:`repro.ops.spmm` / :mod:`repro.ops.segment` with the
-backward passes the paper prescribes (§III-C4):
+The graph ops wrap :mod:`repro.ops.spmm` / :mod:`repro.ops.sddmm` /
+:mod:`repro.ops.segment` with the backward passes the paper prescribes
+(§III-C4):
 
 - :func:`spmm_sum` / :func:`spmm_mean` forward on the CSR block; the
   feature gradient scatters with atomic adds *elided for sub-graph nodes
   whose duplicate count is 1*;
-- the edge-weight gradient of a weighted :func:`spmm_sum` is a g-SDDMM on
-  the same CSR;
-- :func:`edge_softmax` is the segment softmax GAT needs, with the exact
+- a weighted :func:`spmm_sum` takes scalar ``(E,)`` or per-head ``(E, H)``
+  edge weights (GAT's fused aggregation: one SpMM over the head-expanded
+  CSR, never a per-edge message tensor); its edge-weight gradient is a
+  g-SDDMM on the same CSR, its feature gradient the transposed SpMM;
+- :func:`edge_gather_add` is the g-SDDMM of GAT's attention logits and
+  :func:`edge_softmax` the segment softmax over them, with the exact
   within-segment softmax Jacobian in backward.
 """
 
@@ -186,16 +190,16 @@ def spmm_sum(
 ) -> Tensor:
     """Weighted-sum aggregation ``out[t] = Σ_{e→t} w_e · x[src_e]``.
 
-    Backward w.r.t. ``x``: g-SpMM on the transposed CSR via atomics with the
-    duplicate-count elision.  Backward w.r.t. ``edge_weights``: g-SDDMM.
+    ``x`` is ``(N, ...)`` with scalar weights ``(E,)``, or ``(N, H, D)``
+    with per-head weights ``(E, H)``.  Backward w.r.t. ``x``: g-SpMM on the
+    transposed CSR via atomics with the duplicate-count elision.  Backward
+    w.r.t. ``edge_weights``: g-SDDMM.
     """
     w = edge_weights
-    out = _spmm.gspmm_sum(
-        indptr, indices, x.data, None if w is None else w.data
-    )
     num_src = x.data.shape[0]
-
     if w is None:
+        out = _spmm.gspmm_sum(indptr, indices, x.data)
+
         def backward(g):
             gx, _ = _spmm.gspmm_backward_features(
                 indptr, indices, g, num_src,
@@ -205,14 +209,16 @@ def spmm_sum(
 
         return Tensor._make(out, (x,), backward)
 
+    # built once: the forward SpMM and the backward transposed SpMM share it
+    heads = _spmm.heads_of(w.data)
+    adj = _spmm.csr_operator(indptr, indices, num_src, w.data)
+
     def backward_w(g):
-        gx, _ = _spmm.gspmm_backward_features(
-            indptr, indices, g, num_src, edge_weights=w.data,
-            duplicate_counts=duplicate_counts,
-        )
+        gx = _spmm.csr_matmul(adj, g, heads, transpose=True)
         gw = _sddmm.gsddmm_dot(indptr, indices, g, x.data)
         return (gx, gw)
 
+    out = _spmm.csr_matmul(adj, x.data, heads)
     return Tensor._make(out, (x, w), backward_w)
 
 
@@ -292,21 +298,38 @@ def edge_gather_add(
 ) -> Tensor:
     """Per-edge ``dst_values[row_e] + src_values[col_e]`` (GAT logits).
 
-    Backward segment-sums into rows and scatter-adds into columns.
+    Backward sums the edge gradients into rows and columns through the CSR
+    incidence (:func:`repro.ops.sddmm.gsddmm_add_backward`).
     """
-    seg_ids = _segment.segment_ids_from_indptr(indptr)
-    idx = np.asarray(indices, dtype=np.int64)
-    out = dst_values.data[seg_ids] + src_values.data[idx]
+    out = _sddmm.gsddmm_add(indptr, indices, dst_values.data, src_values.data)
 
     def backward(g):
+        g_rows, g_src = _sddmm.gsddmm_add_backward(
+            indptr, indices, g, src_values.data.shape[0]
+        )
         # dst_values may have more rows than segments (targets are a prefix
         # of the source frontier); rows beyond the targets get zero grad.
         g_dst = np.zeros_like(dst_values.data)
-        g_dst[: indptr.shape[0] - 1] = _segment.segment_sum(g, indptr)
-        g_src = _segment.scatter_add_rows(src_values.data.shape[0], idx, g)
+        g_dst[: g_rows.shape[0]] = g_rows
         return (g_dst, g_src)
 
     return Tensor._make(out, (dst_values, src_values), backward)
+
+
+def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand ``np.einsum`` (e.g. GAT's ``"nhd,hd->nh"`` attention
+    halves).  Every index of one operand must appear in the other operand
+    or in the output, so each gradient is itself one einsum."""
+    inputs, out_spec = spec.replace(" ", "").split("->")
+    a_spec, b_spec = inputs.split(",")
+
+    def backward(g):
+        return (
+            np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, b.data),
+            np.einsum(f"{out_spec},{a_spec}->{b_spec}", g, a.data),
+        )
+
+    return Tensor._make(np.einsum(spec, a.data, b.data), (a, b), backward)
 
 
 def graph_readout(h: Tensor, graph_offsets: np.ndarray,
@@ -333,38 +356,3 @@ def graph_readout(h: Tensor, graph_offsets: np.ndarray,
 
         return Tensor._make(out, (h,), backward)
     raise ValueError("mode must be 'mean' or 'sum'")
-
-
-def segment_sum(indptr: np.ndarray, values: Tensor) -> Tensor:
-    """Autograd segment sum over CSR edge order (GAT's aggregation)."""
-    out = _segment.segment_sum(values.data, indptr)
-    seg_ids = _segment.segment_ids_from_indptr(indptr)
-
-    def backward(g):
-        return (g[seg_ids],)
-
-    return Tensor._make(out, (values,), backward)
-
-
-def edge_mul_gather(
-    indices: np.ndarray, alpha: Tensor, src_feat: Tensor
-) -> Tensor:
-    """Per-edge message ``α_e ⊙ x[src_e]`` with broadcast over the feature
-    axis (``alpha``: ``(E, H)``, ``src_feat``: ``(N, H, D)``)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    out = src_feat.data[idx]  # (E, H, D)
-    out *= alpha.data[..., None]
-
-    def backward(g):
-        # re-gather instead of capturing the (E, H, D) tensor in the
-        # closure — halves the op's resident footprint on big batches
-        gathered = src_feat.data[idx]
-        g_alpha = (g * gathered).sum(axis=-1)
-        # reuse the gathered buffer for the source-gradient messages
-        np.multiply(g, alpha.data[..., None], out=gathered)
-        g_src = _segment.scatter_add_rows(
-            src_feat.data.shape[0], idx, gathered
-        )
-        return (g_alpha, g_src)
-
-    return Tensor._make(out, (alpha, src_feat), backward)

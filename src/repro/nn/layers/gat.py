@@ -7,7 +7,10 @@ Per head h:
     h_t     = Σ_s α_{s,t} · W x_s                      (weighted g-SpMM)
 
 Heads are concatenated.  All three sparse stages run on the block's CSR
-(§III-C4); their backward passes are exercised through autograd.
+(§III-C4) and only per-edge *scalars* ``(E, H)`` are ever formed: the
+aggregation is one SpMM over the head-expanded CSR with ``α`` as its values,
+and its backward is the transposed SpMM (features) plus a g-SDDMM
+(attention).  The logit backward reduces through the CSR incidence.
 """
 
 from __future__ import annotations
@@ -57,15 +60,15 @@ class GATConv(Module):
     def forward(self, block: LayerBlock, x: Tensor) -> Tensor:
         h = self.linear(x).reshape(-1, self.num_heads, self.head_dim)
         # per-node attention halves: (N, H)
-        e_dst = (h * self.att_dst).sum(axis=2)
-        e_src = (h * self.att_src).sum(axis=2)
+        e_dst = F.einsum("nhd,hd->nh", h, self.att_dst)
+        e_src = F.einsum("nhd,hd->nh", h, self.att_src)
         logits = F.leaky_relu(
             F.edge_gather_add(block.indptr, block.indices, e_dst, e_src),
             self.negative_slope,
         )
         alpha = F.edge_softmax(block.indptr, logits)  # (E, H)
-        msgs = F.edge_mul_gather(block.indices, alpha, h)  # (E, H, D)
-        out = F.segment_sum(block.indptr, msgs)  # (T, H, D)
+        out = F.spmm_sum(block.indptr, block.indices, h,
+                         edge_weights=alpha)  # (T, H, D)
         return out.reshape(-1, self.out_features) + self.bias
 
     def estimate_cost(self, num_targets: int, num_src: int,

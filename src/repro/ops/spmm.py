@@ -7,7 +7,8 @@ an optional edge weight) and reduce into the destination row.
 The three pieces the paper describes:
 
 - **forward** — directly on the CSR matrix (:func:`gspmm_sum` /
-  :func:`gspmm_mean`);
+  :func:`gspmm_mean`); per-head edge weights ``(E, H)`` (GAT's attention)
+  run as one SpMM over a head-expanded CSR (:func:`csr_operator`);
 - **backward w.r.t. edge weights** — a g-SDDMM on the same CSR
   (:mod:`repro.ops.sddmm`);
 - **backward w.r.t. dense input** — g-SpMM on the *transposed* CSR, done
@@ -31,7 +32,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.ops.segment import segment_mean, segment_sum
+from repro.ops.segment import (
+    segment_ids_from_indptr,
+    segment_mean,
+    segment_sum,
+)
 
 
 def _csr_matrix(indptr, indices, num_src: int, data=None) -> sp.csr_matrix:
@@ -45,15 +50,77 @@ def _csr_matrix(indptr, indices, num_src: int, data=None) -> sp.csr_matrix:
     )
 
 
+def csr_operator(csr_indptr, csr_indices, num_src: int,
+                 edge_weights=None) -> sp.csr_matrix:
+    """The block's adjacency as a scipy CSR operator.
+
+    Absent or scalar edge weights ``(E,)`` give the ``(T, N)`` matrix.
+    Per-head weights ``(E, H)`` give the head-expanded ``(T·H, N·H)``
+    matrix: row ``t·H+k`` holds target ``t``'s edges for head ``k``, at
+    columns ``s·H+k`` with value ``w[e, k]``.  ``(N, H, D)`` features then
+    multiply as their ``(N·H, D)`` view, with no per-edge message tensor.
+    """
+    if edge_weights is None or np.ndim(edge_weights) == 1:
+        return _csr_matrix(csr_indptr, csr_indices, num_src, edge_weights)
+    indptr = np.asarray(csr_indptr, dtype=np.int64)
+    indices = np.asarray(csr_indices, dtype=np.int64)
+    weights = np.asarray(edge_weights, dtype=np.float32)
+    num_edges, heads = weights.shape
+    head = np.arange(heads, dtype=np.int64)
+    deg = np.diff(indptr)
+    # row t·H+k starts at H·indptr[t] + k·deg[t]; edge e of target t sits
+    # e − indptr[t] entries into each of its target's H rows
+    row_ptr = np.empty(heads * deg.shape[0] + 1, dtype=np.int64)
+    row_ptr[:-1] = (heads * indptr[:-1, None] + head * deg[:, None]).ravel()
+    row_ptr[-1] = heads * num_edges
+    seg = segment_ids_from_indptr(indptr)
+    first = np.arange(num_edges) + (heads - 1) * indptr[seg]  # head 0's slot
+    pos = first[:, None] + head * deg[seg][:, None]
+    cols = np.empty(heads * num_edges, dtype=np.int64)
+    cols[pos] = indices[:, None] * heads + head
+    data = np.empty(heads * num_edges, dtype=np.float32)
+    data[pos] = weights
+    return sp.csr_matrix(
+        (data, cols, row_ptr), shape=(heads * deg.shape[0], heads * num_src)
+    )
+
+
+def heads_of(edge_weights) -> int:
+    """Head count of an edge-weight array: ``H`` for ``(E, H)``, else 1."""
+    if edge_weights is None or np.ndim(edge_weights) == 1:
+        return 1
+    return np.shape(edge_weights)[1]
+
+
+def csr_matmul(adj: sp.csr_matrix, dense, heads: int = 1,
+               transpose: bool = False) -> np.ndarray:
+    """``adj @ dense`` (``adjᵀ @ dense`` if ``transpose``).
+
+    With a head-expanded ``adj`` (``heads > 1``) the operand is
+    ``(rows, H, D)`` and multiplies through its ``(rows·H, D)`` view; the
+    result keeps the operand's trailing shape.
+    """
+    op = adj.T if transpose else adj
+    dense = np.asarray(dense, dtype=np.float32)
+    tail = dense.shape[1:]
+    cols = tail[-1] if heads > 1 else int(np.prod(tail))
+    out = np.asarray(op @ dense.reshape(op.shape[1], cols))
+    return out.reshape((op.shape[0] // heads,) + tail)
+
+
 # ---------------------------------------------------------------------------
 # Forward
 # ---------------------------------------------------------------------------
 
 def gspmm_sum(csr_indptr, csr_indices, features, edge_weights=None) -> np.ndarray:
-    """``out[t] = sum_{s in N(t)} w_{s,t} * x[s]`` over the CSR rows."""
+    """``out[t] = sum_{s in N(t)} w_{s,t} * x[s]`` over the CSR rows.
+
+    ``features`` is ``(N, ...)`` with absent or scalar weights ``(E,)``, or
+    ``(N, H, D)`` with per-head weights ``(E, H)``.
+    """
     features = np.asarray(features, dtype=np.float32)
-    adj = _csr_matrix(csr_indptr, csr_indices, features.shape[0], edge_weights)
-    return np.asarray(adj @ features)
+    adj = csr_operator(csr_indptr, csr_indices, features.shape[0], edge_weights)
+    return csr_matmul(adj, features, heads_of(edge_weights))
 
 
 def gspmm_mean(csr_indptr, csr_indices, features, edge_weights=None) -> np.ndarray:
@@ -110,9 +177,10 @@ def gspmm_backward_features(
     source rows (``A^T g``), with :func:`atomic_elision_stats` reporting how
     many scatters the duplicate-count optimisation turns into plain stores.
     """
-    grad_out = np.asarray(grad_out, dtype=np.float32)
-    adj = _csr_matrix(csr_indptr, csr_indices, num_src, edge_weights)
-    grad_features = np.asarray(adj.T @ grad_out)
+    adj = csr_operator(csr_indptr, csr_indices, num_src, edge_weights)
+    grad_features = csr_matmul(
+        adj, grad_out, heads_of(edge_weights), transpose=True
+    )
     stats = atomic_elision_stats(csr_indices, duplicate_counts)
     return grad_features, stats
 

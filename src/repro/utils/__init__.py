@@ -1,4 +1,4 @@
-"""Shared utilities: GlobalID packing, scans, RNG streams, formatting."""
+"""Shared utilities: GlobalID packing, hashing, scans, RNG streams, formatting."""
 
 from repro.utils.ids import (
     GLOBAL_ID_RANK_BITS,
@@ -7,6 +7,7 @@ from repro.utils.ids import (
     rank_of,
     local_of,
 )
+from repro.utils.hashing import splitmix64
 from repro.utils.scan import exclusive_prefix_sum, inclusive_prefix_sum
 from repro.utils.rng import RngPool, spawn_rng
 from repro.utils.units import format_bytes, format_seconds
@@ -17,6 +18,7 @@ __all__ = [
     "split_global_ids",
     "rank_of",
     "local_of",
+    "splitmix64",
     "exclusive_prefix_sum",
     "inclusive_prefix_sum",
     "RngPool",

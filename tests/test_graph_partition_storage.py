@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.graph import MultiGpuGraphStore, hash_partition, load_dataset
-from repro.graph.partition import splitmix64
 from repro.hardware import SimNode
+from repro.utils.hashing import splitmix64
 
 
 @given(st.integers(min_value=1, max_value=3000),

@@ -158,21 +158,79 @@ def test_edge_gather_add_grads(csr, rng):
     )
 
 
-def test_edge_mul_gather_grads(csr, rng):
-    indptr, indices = csr
-    alpha = rng.random((5, 2)).astype(np.float32)
-    feat = rng.standard_normal((5, 2, 3)).astype(np.float32)
-    grad_close(
-        lambda t: (F.edge_mul_gather(indices, t, Tensor(feat)) ** 2.0).sum(),
-        alpha,
-    )
-    grad_close(
-        lambda t: (F.edge_mul_gather(indices, Tensor(alpha), t) ** 2.0).sum(),
-        feat,
-    )
+# GAT's fused aggregation: spmm_sum with per-head edge weights.  Targets 1
+# and 3 have no edges, the 4 targets are a prefix of the 7 sources, and
+# sources 3, 5 and 6 are referenced by no edge.
+HEAD_INDPTR = np.array([0, 2, 2, 5, 5])
+HEAD_INDICES = np.array([1, 4, 0, 4, 2])
 
 
-def test_segment_sum_op_grad(csr, rng):
-    indptr, _ = csr
-    vals = rng.standard_normal((5, 2)).astype(np.float32)
-    grad_close(lambda t: (F.segment_sum(indptr, t) ** 2.0).sum(), vals)
+@pytest.mark.parametrize("heads", [1, 4])
+def test_spmm_sum_per_head_grads(rng, heads):
+    alpha = rng.random((5, heads)).astype(np.float32)
+    feat = rng.standard_normal((7, heads, 3)).astype(np.float32)
+    weight = rng.standard_normal((4, heads, 3)).astype(np.float32)
+
+    def loss(a, x):
+        out = F.spmm_sum(HEAD_INDPTR, HEAD_INDICES, x, edge_weights=a)
+        assert out.shape == (4, heads, 3)
+        return (out * Tensor(weight)).sum() + (out ** 2.0).sum()
+
+    grad_close(lambda t: loss(t, Tensor(feat)), alpha)
+    grad_close(lambda t: loss(Tensor(alpha), t), feat)
+    # unreferenced sources get exactly zero gradient
+    x = Tensor(feat, requires_grad=True)
+    loss(Tensor(alpha), x).backward()
+    assert not x.grad[[3, 5, 6]].any()
+
+
+def _loop_aggregate(indptr, indices, alpha, x, g):
+    """Loop reference for the per-head aggregation, in float64: output,
+    gradient w.r.t. ``alpha`` and w.r.t. ``x`` for upstream gradient ``g``."""
+    alpha, x, g = (a.astype(np.float64) for a in (alpha, x, g))
+    out = np.zeros((indptr.shape[0] - 1,) + x.shape[1:])
+    g_alpha = np.zeros_like(alpha)
+    g_x = np.zeros_like(x)
+    for t in range(indptr.shape[0] - 1):
+        for e in range(indptr[t], indptr[t + 1]):
+            s = indices[e]
+            out[t] += alpha[e][:, None] * x[s]
+            g_alpha[e] = (g[t] * x[s]).sum(axis=-1)
+            g_x[s] += alpha[e][:, None] * g[t]
+    return out, g_alpha, g_x
+
+
+def test_spmm_sum_per_head_matches_loop_reference(seeded_rng):
+    """float32 fused op vs the float64 loop: rtol 1e-5 (atol 1e-5 for
+    entries that cancel to near zero)."""
+    rng = seeded_rng
+    heads, dim, num_src, num_targets = 4, 8, 40, 25
+    deg = rng.integers(0, 9, size=num_targets)
+    deg[::7] = 0
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    indices = rng.integers(0, num_src, size=indptr[-1])
+    alpha = rng.random((indptr[-1], heads)).astype(np.float32)
+    feat = rng.standard_normal((num_src, heads, dim)).astype(np.float32)
+    g = rng.standard_normal((num_targets, heads, dim)).astype(np.float32)
+    a, x = Tensor(alpha, requires_grad=True), Tensor(feat, requires_grad=True)
+    out = F.spmm_sum(indptr, indices, x, edge_weights=a)
+    out.backward(g)
+    ref_out, ref_ga, ref_gx = _loop_aggregate(indptr, indices, alpha, feat, g)
+    for got, ref in ((out.data, ref_out), (a.grad, ref_ga), (x.grad, ref_gx)):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+
+def test_einsum_grads(rng):
+    h = rng.standard_normal((5, 2, 3)).astype(np.float32)
+    att = rng.standard_normal((2, 3)).astype(np.float32)
+    w = rng.standard_normal((5, 2)).astype(np.float32)
+    out = F.einsum("nhd,hd->nh", Tensor(h), Tensor(att))
+    assert np.allclose(out.data, (h * att).sum(axis=2), atol=1e-6)
+    grad_close(
+        lambda t: (F.einsum("nhd,hd->nh", t, Tensor(att)) * Tensor(w)).sum(),
+        h,
+    )
+    grad_close(
+        lambda t: (F.einsum("nhd,hd->nh", Tensor(h), t) ** 2.0).sum(), att
+    )

@@ -77,6 +77,39 @@ def test_gat_attention_is_convex_combination(rng):
     assert np.all(out[0] >= lo) and np.all(out[0] <= hi)
 
 
+def test_gat_conv_grads_match_finite_differences(rng):
+    """Whole-layer gradient check through ``linear``, ``att_src``,
+    ``att_dst``, ``bias`` and the input, on a block with an empty target
+    and unreferenced sources."""
+    from tests.test_nn_tensor import numeric_grad
+
+    block = LayerBlock(
+        indptr=np.array([0, 3, 3, 6]), indices=np.array([1, 4, 0, 2, 4, 0]),
+        num_targets=3, num_src=6,
+        duplicate_counts=np.array([2, 1, 1, 0, 2, 0]),
+    )
+    conv = GATConv(3, 4, rng, num_heads=2)
+    x = rng.standard_normal((6, 3)).astype(np.float32)
+    weight = Tensor(rng.standard_normal((3, 4)).astype(np.float32))
+
+    def loss(inp):
+        return (conv(block, inp) * weight).sum()
+
+    xt = Tensor(x, requires_grad=True)
+    conv.zero_grad()
+    loss(xt).backward()
+    for name, value, grad in (
+        ("x", x, xt.grad),
+        ("linear", conv.linear.weight.data, conv.linear.weight.grad),
+        ("att_src", conv.att_src.data, conv.att_src.grad),
+        ("att_dst", conv.att_dst.data, conv.att_dst.grad),
+        ("bias", conv.bias.data, conv.bias.grad),
+    ):
+        num = numeric_grad(lambda: float(loss(Tensor(x)).data), value)
+        assert grad is not None and grad.shape == value.shape, name
+        assert np.allclose(grad, num, atol=2e-2), (name, grad, num)
+
+
 def test_gat_rejects_indivisible_heads(rng):
     with pytest.raises(ValueError):
         GATConv(4, 10, rng, num_heads=4)

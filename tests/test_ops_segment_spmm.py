@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ops.sddmm import gsddmm_add, gsddmm_dot
+from repro.ops import sddmm
+from repro.ops.sddmm import gsddmm_add, gsddmm_add_backward, gsddmm_dot
 from repro.ops.segment import (
     scatter_add_rows,
     segment_ids_from_indptr,
@@ -177,3 +178,60 @@ def test_gsddmm_add_multihead():
     src = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]], dtype=np.float32)
     out = gsddmm_add(indptr, indices, dst, src)
     assert np.allclose(out, [[1.3, 10.4], [2.1, 20.2], [2.5, 20.6]])
+
+
+@given(st.integers(min_value=0, max_value=2**31))
+def test_gspmm_per_head_weights_equal_per_head_calls(seed):
+    """The head-expanded SpMM holds each head's rows in the same edge order
+    as a single-head call, so forward and transposed backward agree bit for
+    bit with one scalar-weight call per head."""
+    rng = np.random.default_rng(seed)
+    indptr, indices = random_csr(rng)
+    heads = 3
+    x = rng.standard_normal((9, heads, 4)).astype(np.float32)
+    w = rng.standard_normal((indices.shape[0], heads)).astype(np.float32)
+    g = rng.standard_normal((6, heads, 4)).astype(np.float32)
+    out = gspmm_sum(indptr, indices, x, w)
+    gx, _ = gspmm_backward_features(indptr, indices, g, 9, edge_weights=w)
+    assert out.shape == (6, heads, 4) and gx.shape == (9, heads, 4)
+    for k in range(heads):
+        assert np.array_equal(
+            out[:, k], gspmm_sum(indptr, indices, x[:, k], w[:, k])
+        )
+        one, _ = gspmm_backward_features(
+            indptr, indices, g[:, k], 9, edge_weights=w[:, k]
+        )
+        assert np.array_equal(gx[:, k], one)
+
+
+def test_gsddmm_dot_spans_edge_blocks():
+    """Enough edges for several internal edge blocks, 2-D and 3-D inputs."""
+    rng = np.random.default_rng(3)
+    deg = rng.integers(0, 60, size=600)
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    indices = rng.integers(0, 500, size=indptr[-1])
+    assert indptr[-1] > 3 * sddmm._EDGE_BLOCK
+    dst_ids = segment_ids_from_indptr(indptr)
+    for shape in ((3,), (2, 3)):
+        u = rng.standard_normal((600,) + shape).astype(np.float32)
+        v = rng.standard_normal((500,) + shape).astype(np.float32)
+        out = gsddmm_dot(indptr, indices, u, v)
+        ref = (u[dst_ids] * v[indices]).sum(axis=-1)
+        assert out.shape == ref.shape
+        assert np.allclose(out, ref, atol=1e-5)
+
+
+@given(st.integers(min_value=0, max_value=2**31))
+def test_gsddmm_add_backward_vs_loop(seed):
+    rng = np.random.default_rng(seed)
+    indptr, indices = random_csr(rng)
+    g = rng.standard_normal((indices.shape[0], 2)).astype(np.float32)
+    rows, cols = gsddmm_add_backward(indptr, indices, g, 9)
+    ref_rows = np.zeros((6, 2))
+    ref_cols = np.zeros((9, 2))
+    for r in range(6):
+        for e in range(indptr[r], indptr[r + 1]):
+            ref_rows[r] += g[e]
+            ref_cols[indices[e]] += g[e]
+    assert np.allclose(rows, ref_rows, atol=1e-5)
+    assert np.allclose(cols, ref_cols, atol=1e-5)
