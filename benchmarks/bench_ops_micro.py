@@ -32,6 +32,15 @@ def test_bench_append_unique(benchmark):
     benchmark(append_unique, targets, neighbors)
 
 
+def test_bench_append_unique_duplicate_heavy(benchmark):
+    """Shaped like a ``train-sage-tiered`` hop: 30k targets and 150k
+    neighbors from a 60k-ID space, ~37% of the neighbors distinct, so most
+    probe lanes collide on a slot another lane also bids for."""
+    targets = RNG.choice(60_000, size=30_000, replace=False)
+    neighbors = RNG.integers(0, 60_000, size=150_000)
+    benchmark(append_unique, targets, neighbors)
+
+
 def test_bench_segment_sum(benchmark):
     sizes = RNG.integers(0, 60, size=20_000)
     indptr = np.concatenate(([0], np.cumsum(sizes)))

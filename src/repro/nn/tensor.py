@@ -173,10 +173,15 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
+        # skip the product for an operand that takes no gradient (e.g. raw
+        # input features); the engine would discard it anyway
         return Tensor._make(
             self.data @ other.data,
             (self, other),
-            lambda g: (g @ other.data.T, self.data.T @ g),
+            lambda g: (
+                g @ other.data.T if self.requires_grad else None,
+                self.data.T @ g if other.requires_grad else None,
+            ),
         )
 
     def __pow__(self, exponent: float) -> "Tensor":

@@ -66,20 +66,19 @@ def append_unique(
     targets = np.asarray(target_nodes, dtype=np.int64).ravel()
     neighbors = np.asarray(neighbor_nodes, dtype=np.int64).ravel()
     nt = targets.shape[0]
-    if nt and np.unique(targets).shape[0] != nt:
-        raise ValueError("target nodes must be unique")
 
     capacity = max(int((nt + neighbors.shape[0]) / load_factor), bucket_size)
     table = GpuHashTable(capacity, bucket_size=bucket_size)
 
     # step 1: targets carry their list index as value (first table of Fig. 5)
-    _, _, rounds_t = table.insert(targets, np.arange(nt, dtype=np.int64))
+    # (a target that finds its key already inserted is a duplicate)
+    _, dup_t, rounds_t = table.insert(targets, np.arange(nt, dtype=np.int64))
+    if dup_t.any():
+        raise ValueError("target nodes must be unique")
 
     # step 2: neighbors insert with value -1 (second table of Fig. 5);
     # duplicates and target-coincident nodes report `found`.
-    nbr_slots, _, rounds_n = table.insert(
-        neighbors, np.full(neighbors.shape[0], EMPTY_KEY)
-    ) if neighbors.size else (np.empty(0, np.int64), None, 0)
+    nbr_slots, _, rounds_n = table.insert(neighbors, EMPTY_KEY)
 
     # step 3: bucket-count the -1 values, exclusive scan, offset by target
     # count (third and fourth tables of Fig. 5).
@@ -89,24 +88,20 @@ def append_unique(
     bucket_counts = np.bincount(
         buckets[is_new_neighbor], minlength=table.num_buckets
     )
-    bucket_starts = exclusive_prefix_sum(bucket_counts) + nt
+    bucket_offsets = exclusive_prefix_sum(bucket_counts)
 
     # assign IDs in (bucket, slot) order: within a bucket, occupied -1 slots
     # get consecutive IDs from the bucket's start.
     new_slots = occ[is_new_neighbor]
     new_buckets = buckets[is_new_neighbor]
     # occ is slot-sorted, so positions within each bucket are already ordered
-    within = np.arange(new_slots.shape[0]) - exclusive_prefix_sum(
-        bucket_counts
-    )[new_buckets]
-    sub_ids = bucket_starts[new_buckets] + within
+    start = bucket_offsets[new_buckets]
+    within = np.arange(new_slots.shape[0]) - start
+    sub_ids = nt + start + within
     table.set_value(new_slots, sub_ids)
 
     # step 4: read back per-input sub-graph IDs and build the unique list.
-    if neighbors.size:
-        neighbor_subgraph_ids = table.values[nbr_slots]
-    else:
-        neighbor_subgraph_ids = np.empty(0, dtype=np.int64)
+    neighbor_subgraph_ids = table.values[nbr_slots]
 
     num_unique = nt + int(is_new_neighbor.sum())
     unique_nodes = np.empty(num_unique, dtype=np.int64)

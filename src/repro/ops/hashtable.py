@@ -17,7 +17,16 @@ the GPU execution shape:
 
 Because conflicts are resolved per-round with a deterministic winner
 (lowest input index, mirroring a CAS race that some lane wins), the table
-contents are reproducible, which the tests rely on.
+contents are reproducible, which the tests rely on.  The race is emulated
+without a sort: every lane bidding for an empty slot scatter-mins its lane
+index into a per-insert ``claim`` buffer (``np.minimum.at``), and the lane
+that reads its own index back owns the slot — O(n) per round.
+
+Layout contract: for a given ``(capacity, bucket_size, seed)`` and input
+order, every key's slot, ``found`` and the round count are fixed.
+AppendUnique numbers neighbors in (bucket, slot) order, so this layout
+decides the next sampling layer's target order and with it every
+downstream random draw; the golden manifests pin it.
 """
 
 from __future__ import annotations
@@ -51,9 +60,9 @@ class GpuHashTable:
     # -- hashing ----------------------------------------------------------------
 
     def _home_slot(self, keys: np.ndarray) -> np.ndarray:
-        h = splitmix64(
-            keys.astype(np.uint64) ^ np.uint64(self.seed * 0x9E3779B97F4A7C15)
-        )
+        # the seed's golden-ratio multiple wraps mod 2**64, as in uint64 C
+        salt = (self.seed * 0x9E3779B97F4A7C15) % (1 << 64)
+        h = splitmix64(keys.astype(np.uint64) ^ np.uint64(salt))
         return (h % np.uint64(self.capacity)).astype(np.int64)
 
     # -- core probe/insert loop ----------------------------------------------------
@@ -70,58 +79,68 @@ class GpuHashTable:
         lane wins the CAS and inserts, the rest subsequently find the key.
         """
         keys = np.asarray(keys, dtype=np.int64).ravel()
-        values = np.broadcast_to(
-            np.asarray(values, dtype=np.int64), keys.shape
-        ).copy()
+        values = np.broadcast_to(np.asarray(values, dtype=np.int64), keys.shape)
         if np.any(keys == EMPTY_KEY):
             raise ValueError("-1 is the reserved empty key")
-        slots_out = np.full(keys.shape[0], -1, dtype=np.int64)
-        found = np.zeros(keys.shape[0], dtype=bool)
-        if keys.size == 0:
-            return slots_out, found, 0
+        n = keys.shape[0]
+        slots_out = np.full(n, -1, dtype=np.int64)
+        if n == 0:
+            return slots_out, np.zeros(0, dtype=bool), 0
 
-        pending = np.arange(keys.shape[0], dtype=np.int64)
-        probe = self._home_slot(keys)
+        cap = self.capacity
+        # CAS arbitration: per slot, the lowest lane that bid for it; ``n``
+        # means "no bid".  Every bid slot gets a winner and stays occupied,
+        # so no slot is bid on twice and ``claim`` ends up naming the lane
+        # that inserted each slot's key.
+        claim = np.full(cap, n, dtype=np.int64)
+        lanes = np.arange(n, dtype=np.int64)
+        # per pending lane: its input index, its key and the slot it probes
+        # this round (carried along, so no round re-gathers them by index)
+        pending = lanes
+        lane_keys = keys
+        cur = self._home_slot(keys)
+        # a lane advances at most once per two rounds (CAS-loss retries
+        # revisit the slot), so 2·capacity rounds without resolution means
+        # every slot was visited and held a foreign key
+        max_rounds = 2 * cap + 4
         rounds = 0
-        while pending.size:
+        while cur.size and rounds < max_rounds:
             rounds += 1
-            # a lane advances at most once per two rounds (CAS-loss retries
-            # revisit the slot), so 2·capacity rounds without resolution
-            # means every slot was visited and held a foreign key
-            if rounds > 2 * self.capacity + 4:
-                raise RuntimeError("hash table is full (probe loop exhausted)")
-            cur = probe[pending]
             slot_keys = self.keys[cur]
-
             # lanes whose probed slot already holds their key: hit.
-            hit = slot_keys == keys[pending]
-            slots_out[pending[hit]] = cur[hit]
-            found[pending[hit]] = True
-
-            # lanes probing an empty slot race to CAS it; the first lane per
-            # slot (in input order) wins, ties on the same key resolved next
-            # round as hits.
+            resolved = slot_keys == lane_keys
+            # lanes probing an empty slot race to CAS it: the lowest lane per
+            # slot wins (a scatter-min); losers on the same key hit it next
+            # round.
             empty = slot_keys == EMPTY_KEY
-            cand = pending[empty]
-            cand_slots = cur[empty]
-            if cand.size:
-                uniq_slots, first_idx = np.unique(cand_slots, return_index=True)
-                winners = cand[first_idx]
-                self.keys[uniq_slots] = keys[winners]
-                self.values[uniq_slots] = values[winners]
-                self.size += uniq_slots.size
-                slots_out[winners] = uniq_slots
+            cand_pos = empty.nonzero()[0]
+            if cand_pos.size:
+                cand_slots = cur[cand_pos]
+                cand = pending[cand_pos]
+                np.minimum.at(claim, cand_slots, cand)
+                won = claim[cand_slots] == cand
+                self.keys[cand_slots[won]] = keys[cand[won]]
+                resolved[cand_pos[won]] = True
+            done = resolved.nonzero()[0]
+            slots_out[pending[done]] = cur[done]
 
             # Unresolved lanes that probed an *occupied foreign* slot advance;
             # lanes that lost the CAS race on an empty slot retry the same
             # slot (it may now hold their own key — the failed-CAS re-read of
             # the CUDA kernel).
-            unresolved = slots_out[pending] == -1
-            nxt = pending[unresolved]
-            foreign = ~empty[unresolved]
-            adv = nxt[foreign]
-            probe[adv] = (probe[adv] + 1) % self.capacity
-            pending = nxt
+            keep = (~resolved).nonzero()[0]
+            pending = pending[keep]
+            lane_keys = lane_keys[keep]
+            cur = cur[keep] + ~empty[keep]
+            cur[cur == cap] = 0
+        # every lane that did not insert its key found it (or, on a full
+        # table, is still unresolved)
+        found = claim[slots_out] != lanes
+        inserted = (~found).nonzero()[0]
+        self.values[slots_out[inserted]] = values[inserted]
+        self.size += inserted.size
+        if cur.size:
+            raise RuntimeError("hash table is full (probe loop exhausted)")
         return slots_out, found, rounds
 
     def lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:

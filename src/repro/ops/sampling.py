@@ -48,18 +48,17 @@ def _parallel_sort_packed(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, p
 
 
-def _path_doubling(chain: np.ndarray) -> np.ndarray:
+def _path_doubling(chain: np.ndarray, row_len: int) -> np.ndarray:
     """Resolve successor chains: ``chain[i] <- chain[chain[i]]`` to fixpoint.
 
-    Converges in ``ceil(log2(len))`` rounds — the classic pointer-jumping
-    primitive (line 12 of Algorithm 1).
+    Converges in ``ceil(log2(row_len))`` rounds — the classic
+    pointer-jumping primitive (line 12 of Algorithm 1).  ``chain`` holds
+    the rows flattened, each entry offset by its row start, so one gather
+    per round jumps every row at once.
     """
-    m = chain.shape[-1]
-    rounds = max(1, int(np.ceil(np.log2(max(m, 2)))))
+    rounds = max(1, int(np.ceil(np.log2(max(row_len, 2)))))
     for _ in range(rounds):
-        chain = np.take_along_axis(
-            chain, chain, axis=-1
-        ) if chain.ndim > 1 else chain[chain]
+        chain = chain[chain]
     return chain
 
 
@@ -113,51 +112,46 @@ def batch_sample_without_replacement(
         raise ValueError("every row must satisfy N >= M")
 
     lanes = np.arange(m, dtype=np.int64)
+    # rows are addressed flat: element (row, i) sits at row * m + i
+    row_start = (np.arange(b, dtype=np.int64) * m)[:, None]
     # line 2: r[i] ~ uniform[0, N-1-i]
     spans = counts[:, None] - lanes[None, :]  # N - i, always >= 1
     r = (rng.random((b, m)) * spans).astype(np.int64)
-    # line 3: chain[i] = i
-    chain = np.broadcast_to(lanes, (b, m)).copy()
 
     # line 5: s, p = parallel_sort(r)  (packed 64-bit radix sort)
     s, p = _parallel_sort_packed(r)
+    p_flat = (p + row_start).ravel()
 
     # line 7: q[p[i]] = i
-    q = np.empty_like(p)
-    np.put_along_axis(q, p, np.broadcast_to(lanes, (b, m)), axis=1)
+    q = np.empty(b * m, dtype=np.int64)
+    q[p_flat] = np.tile(lanes, b)
+    q = q.reshape(b, m)
 
-    # lines 8-10: last occurrence of each value group with s[i] >= N-M
-    # claims slot chain[N - s[i] - 1] = p[i]
+    # line 3: chain[i] = i; lines 8-10: last occurrence of each value group
+    # with s[i] >= N-M claims slot chain[N - s[i] - 1] = p[i]
+    chain = np.arange(b * m, dtype=np.int64)
     is_group_end = np.ones((b, m), dtype=bool)
     is_group_end[:, :-1] = s[:, :-1] != s[:, 1:]
     eligible = is_group_end & (s >= (counts[:, None] - m))
     slots = counts[:, None] - s - 1  # N - s[i] - 1, in [0, M) when eligible
-    rows = np.broadcast_to(np.arange(b)[:, None], (b, m))
-    chain[rows[eligible], slots[eligible]] = p[eligible]
+    chain[(slots + row_start)[eligible]] = p_flat[eligible.ravel()]
 
     # line 12: path doubling
-    chain = _path_doubling(chain)
+    chain = _path_doubling(chain, m)
 
     # line 14: last[i] = N - chain[i] - 1
-    last = counts[:, None] - chain - 1
+    last = (counts[:, None] - (chain.reshape(b, m) - row_start) - 1).ravel()
 
     # lines 16-22: emit own draw for the first of each value group, else the
-    # redirect of the predecessor in sorted order.
-    res = np.empty((b, m), dtype=np.int64)
-    qi = q  # q[i] = position of lane i in sorted order
-    prev_pos = qi - 1
-    first_of_group = np.zeros((b, m), dtype=bool)
+    # redirect of the predecessor in sorted order.  q[i] is lane i's sorted
+    # position, so s[q[i]] is its own draw r[i].
+    prev_flat = (np.maximum(q - 1, 0) + row_start).ravel()
+    first_of_group = q == 0
     first_of_group[:, 0] = True  # line 17: i == 0
-    first_of_group |= qi == 0
-    safe_prev = np.maximum(prev_pos, 0)
-    s_at_q = np.take_along_axis(s, qi, axis=1)
-    s_at_prev = np.take_along_axis(s, safe_prev, axis=1)
-    first_of_group |= s_at_q != s_at_prev
-    res[first_of_group] = r[first_of_group]
+    first_of_group |= r != s.ravel()[prev_flat].reshape(b, m)
     # res[i] = last[p[q[i]-1]] for the rest
-    p_prev = np.take_along_axis(p, safe_prev, axis=1)
-    last_redirect = np.take_along_axis(last, p_prev, axis=1)
-    res[~first_of_group] = last_redirect[~first_of_group]
+    res = last[p_flat[prev_flat]].reshape(b, m)
+    res[first_of_group] = r[first_of_group]
     return res
 
 

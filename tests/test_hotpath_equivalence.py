@@ -199,6 +199,119 @@ def _loop_reference_lookup(table, keys):
     return vals, found
 
 
+def _loop_reference_insert(table, keys, values):
+    """Round-synchronous, slot-at-a-time insert.
+
+    Every pending lane reads its probe slot at the start of a round.  A
+    lane finding its key hits; among the lanes finding an empty slot the
+    lowest input lane wins it (the CAS), the losers retry the same slot;
+    a lane finding a foreign key advances one slot.  Writes land at the
+    end of the round.
+    """
+    keys = [int(k) for k in np.asarray(keys, dtype=np.int64).ravel()]
+    values = np.broadcast_to(np.asarray(values, dtype=np.int64), len(keys))
+    n, cap = len(keys), table.capacity
+    slots, found = [-1] * n, [False] * n
+    probe = [int(h) for h in table._home_slot(np.array(keys, np.int64))]
+    pending, rounds = list(range(n)), 0
+    while pending:
+        rounds += 1
+        if rounds > 2 * cap + 4:
+            raise RuntimeError("hash table is full")
+        won: dict[int, int] = {}
+        retry = []
+        for lane in pending:  # ascending lane order
+            slot = probe[lane]
+            held = int(table.keys[slot])
+            if held == keys[lane]:
+                slots[lane], found[lane] = slot, True
+            elif held == EMPTY_KEY and slot not in won:
+                won[slot] = lane
+                slots[lane] = slot
+            elif held == EMPTY_KEY:
+                retry.append(lane)
+            else:
+                probe[lane] = (slot + 1) % cap
+                retry.append(lane)
+        for slot, lane in won.items():
+            table.keys[slot] = keys[lane]
+            table.values[slot] = values[lane]
+            table.size += 1
+        pending = retry
+    return np.array(slots, np.int64), np.array(found, bool), rounds
+
+
+def _assert_insert_matches_reference(fast, ref, keys, values):
+    got = fast.insert(keys, values)
+    want = _loop_reference_insert(ref, keys, values)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert np.array_equal(fast.keys, ref.keys)
+    assert np.array_equal(fast.values, ref.values)
+    assert fast.size == ref.size
+    return got
+
+
+def _table_pair(capacity, bucket_size, seed=0):
+    return (GpuHashTable(capacity, bucket_size=bucket_size, seed=seed),
+            GpuHashTable(capacity, bucket_size=bucket_size, seed=seed))
+
+
+@pytest.mark.parametrize("bucket_size", [4, 16, 128])
+def test_insert_duplicate_heavy_matches_reference(seeded_rng, bucket_size):
+    fast, ref = _table_pair(256, bucket_size)
+    keys = seeded_rng.integers(0, 60, size=400)
+    _, found, _ = _assert_insert_matches_reference(
+        fast, ref, keys, np.arange(keys.size)
+    )
+    assert found.sum() == keys.size - np.unique(keys).size
+
+
+@pytest.mark.parametrize("bucket_size", [4, 16, 128])
+def test_insert_into_populated_table_matches_reference(
+    seeded_rng, bucket_size
+):
+    fast, ref = _table_pair(256, bucket_size, seed=1)
+    first = seeded_rng.choice(1000, size=120, replace=False)
+    _assert_insert_matches_reference(fast, ref, first, np.arange(120))
+    # half re-inserts of present keys, half new keys, with duplicates
+    second = np.concatenate([
+        seeded_rng.choice(first, size=150),
+        seeded_rng.integers(1000, 1080, size=150),
+    ])
+    seeded_rng.shuffle(second)
+    _assert_insert_matches_reference(fast, ref, second, EMPTY_KEY)
+
+
+@pytest.mark.parametrize("bucket_size", [4, 16, 128])
+def test_insert_wraparound_chain_matches_reference(bucket_size):
+    fast, ref = _table_pair(bucket_size, bucket_size)
+    cap = fast.capacity
+    # three keys homed on the last slot force two chains past the end
+    pool = np.arange(7, 7 + 100 * cap, dtype=np.int64)
+    homes = fast._home_slot(pool)
+    tail = pool[homes == cap - 1][:3]
+    rest = pool[homes != cap - 1][: cap - 1 - tail.size]
+    keys = np.concatenate([rest[: rest.size // 2], tail, rest[rest.size // 2:]])
+    slots, _, _ = _assert_insert_matches_reference(
+        fast, ref, keys, np.arange(keys.size)
+    )
+    assert np.any(slots < fast._home_slot(keys))
+
+
+def test_insert_full_table_raises_like_reference():
+    fast, ref = _table_pair(8, 4)
+    keys = np.arange(30, 30 + fast.capacity + 1, dtype=np.int64)
+    with pytest.raises(RuntimeError):
+        fast.insert(keys, 0)
+    with pytest.raises(RuntimeError):
+        _loop_reference_insert(ref, keys, 0)
+    assert np.array_equal(fast.keys, ref.keys)
+    assert np.array_equal(fast.values, ref.values)
+    assert fast.size == ref.size == fast.capacity
+
+
 @pytest.mark.parametrize("bucket_size", [4, 16, 128])
 @pytest.mark.parametrize("load", [0.3, 0.9])
 def test_lookup_matches_slot_at_a_time_reference(

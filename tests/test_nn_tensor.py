@@ -60,6 +60,20 @@ def test_matmul_grad(x, rng):
     assert np.allclose(wt.grad, num, atol=2e-2)
 
 
+def test_matmul_skips_grad_of_no_grad_operand(x, rng):
+    w = rng.standard_normal((3, 5)).astype(np.float32)
+    g = rng.standard_normal((4, 5)).astype(np.float32)
+    feats, wt = Tensor(x), Tensor(w, requires_grad=True)
+    (feats @ wt).backward(g)
+    assert np.array_equal(wt.grad, x.T @ g)
+    assert feats.grad is None
+    # and the other way round
+    xt, frozen = Tensor(x, requires_grad=True), Tensor(w)
+    (xt @ frozen).backward(g)
+    assert np.array_equal(xt.grad, g @ w.T)
+    assert frozen.grad is None
+
+
 def test_div_pow_grads(x):
     xp = np.abs(x) + 1.0
     check_grad(lambda t: (t / Tensor(np.full_like(xp, 2.0))).sum(), xp)

@@ -50,6 +50,31 @@ def test_table_full_detected():
         t.insert([99], [0])
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_every_seed_builds_and_inserts(seed):
+    t = GpuHashTable(64, bucket_size=16, seed=seed)
+    keys = np.array([3, 10, 17, 24, 31, 38, 1_000_003, 2**40 + 5, 7, 3])
+    slots, found, _ = t.insert(keys, np.arange(keys.size))
+    assert found.tolist() == [False] * 9 + [True]
+    assert slots[0] == slots[-1]
+    vals, hit = t.lookup(keys)
+    assert hit.all() and vals.tolist() == list(range(9)) + [0]
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (0, [45, 10, 35, 4, 42, 48, 36, 58, 23, 45]),
+    (1, [39, 6, 56, 24, 10, 28, 46, 45, 1, 39]),
+])
+def test_seed_zero_and_one_layout_is_pinned(seed, expected):
+    """The salt wraps mod 2**64 without moving the seeds that never
+    overflowed."""
+    t = GpuHashTable(64, bucket_size=16, seed=seed)
+    keys = np.array([3, 10, 17, 24, 31, 38, 1_000_003, 2**40 + 5, 7, 3])
+    slots, _, rounds = t.insert(keys, np.arange(keys.size))
+    assert slots.tolist() == expected
+    assert rounds == 2
+
+
 def test_set_value_on_empty_slot_rejected():
     t = GpuHashTable(64)
     empty = np.flatnonzero(t.keys == EMPTY_KEY)[:1]

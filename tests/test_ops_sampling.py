@@ -69,6 +69,32 @@ def test_zero_samples():
     assert out.shape == (2, 0)
 
 
+def _swap_to_end_fisher_yates(n, draws):
+    """Sequential Fisher–Yates: lane i takes slot ``draws[i]`` of the
+    ``n - i`` still free, and the last free element moves into it."""
+    pool = list(range(n))
+    out = []
+    for i, j in enumerate(draws):
+        out.append(pool[j])
+        pool[j] = pool[n - 1 - i]
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 15, 30])
+def test_batch_sampler_equals_fisher_yates_on_same_draws(m):
+    """Algorithm 1 is an exact parallel form of the sequential shuffle:
+    with the draws ``r`` it consumes, every row equals Fisher–Yates."""
+    counts = np.array([m, m, m + 1, m + 3, 2 * m, 4 * m + 7, 200, 1000])
+    res = batch_sample_without_replacement(
+        counts, m, np.random.default_rng(100 + m)
+    )
+    spans = counts[:, None] - np.arange(m)[None, :]
+    draws = (np.random.default_rng(100 + m).random((counts.size, m))
+             * spans).astype(np.int64)
+    for row, n, r in zip(res, counts, draws):
+        assert row.tolist() == _swap_to_end_fisher_yates(int(n), r.tolist())
+
+
 def test_marginal_uniformity_chi_square():
     """Each of N indices should be selected with probability M/N."""
     rng = np.random.default_rng(42)
