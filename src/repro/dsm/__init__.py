@@ -11,7 +11,8 @@ This package reproduces that protocol step-by-step:
 
 - :mod:`repro.dsm.ipc` — IPC handle objects, export and open;
 - :mod:`repro.dsm.pointer_table` — the per-device pointer table;
-- :mod:`repro.dsm.whole_memory` — partitioned shared allocations;
+- :mod:`repro.dsm.whole_memory` — partitioned shared allocations
+  (size-only: device-memory reservations, no host backing);
 - :mod:`repro.dsm.whole_tensor` — typed 2-D tensors over WholeMemory with
   costed gather/scatter (the op behind feature storage);
 - :mod:`repro.dsm.feature_cache` — per-rank hot-row HBM caches over the

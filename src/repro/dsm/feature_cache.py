@@ -84,7 +84,6 @@ class FeatureCache:
         policy starts empty and learns the hot set online."""
         if policy not in CACHE_POLICIES:
             raise ValueError(f"policy must be one of {CACHE_POLICIES}")
-        tensor._require_data()
         self.tensor = tensor
         self.node = tensor.node
         self.policy = policy
@@ -186,7 +185,7 @@ class FeatureCache:
         rows = tensor._check_rows(rows)
         st = self._ranks[rank]
         out = np.empty((rows.size, tensor.num_cols), dtype=tensor.dtype)
-        owners, local = tensor._owners_and_local(rows)
+        owners = tensor.rank_of_row(rows)
 
         slots = st.slot_of[rows] if rows.size else np.empty(0, dtype=np.int64)
         hit = slots >= 0
@@ -195,10 +194,7 @@ class FeatureCache:
             out[hit] = st.data[slots[hit]]
         miss = ~hit
         if num_hits < rows.size:
-            for r in range(self.node.num_gpus):
-                m = miss & (owners == r)
-                if np.any(m):
-                    out[m] = tensor._parts[r][local[m]]
+            out[miss] = tensor._data[rows[miss]]
 
         # -- cost: hits + locally-owned misses stream from HBM, remote misses
         # ride the NVLink random-read curve; both streams overlap in-kernel

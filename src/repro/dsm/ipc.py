@@ -2,40 +2,43 @@
 
 Models ``cudaIpcGetMemHandle`` / ``cudaIpcOpenMemHandle``: a handle is an
 opaque token a process can hand to another process, which the peer converts
-into a locally-usable device pointer.  Here the "device pointer" is the
-backing NumPy buffer of the exporting rank's partition; *opening* a handle
-checks the protocol invariants the real API enforces (a process must not open
-its own handle; a handle must refer to a live allocation).
+into a locally-usable device pointer.  Here the handle carries the exporting
+rank's :class:`~repro.hardware.memory.DeviceMemory` and the
+:class:`~repro.hardware.memory.Allocation` it exports, and the "device
+pointer" an open returns is that allocation.  *Opening* a handle checks the
+protocol invariants the real API enforces (a process must not open its own
+handle; a handle must refer to a live allocation).  There is no registry:
+freeing the allocation is what invalidates every handle to it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-_registry: dict[int, np.ndarray] = {}
-_token_counter = itertools.count(1)
+from repro.hardware.memory import Allocation, DeviceMemory
 
 
 @dataclass(frozen=True)
 class IpcHandle:
     """Opaque exportable reference to one rank's device allocation."""
 
-    token: int
     owner_rank: int
-    nbytes: int
+    memory: DeviceMemory
+    allocation: Allocation
+
+    @property
+    def nbytes(self) -> int:
+        return self.allocation.nbytes
 
 
-def ipc_get_mem_handle(owner_rank: int, buffer: np.ndarray) -> IpcHandle:
-    """Export a device buffer as an IPC handle (``cudaIpcGetMemHandle``)."""
-    token = next(_token_counter)
-    _registry[token] = buffer
-    return IpcHandle(token=token, owner_rank=owner_rank, nbytes=buffer.nbytes)
+def ipc_get_mem_handle(
+    owner_rank: int, memory: DeviceMemory, allocation: Allocation
+) -> IpcHandle:
+    """Export a device allocation as an IPC handle (``cudaIpcGetMemHandle``)."""
+    return IpcHandle(owner_rank, memory, allocation)
 
 
-def ipc_open_mem_handle(handle: IpcHandle, opener_rank: int) -> np.ndarray:
+def ipc_open_mem_handle(handle: IpcHandle, opener_rank: int) -> Allocation:
     """Open a peer's IPC handle, returning the mapped "device pointer".
 
     Mirrors the CUDA restriction that ``cudaIpcOpenMemHandle`` may not be
@@ -46,12 +49,9 @@ def ipc_open_mem_handle(handle: IpcHandle, opener_rank: int) -> np.ndarray:
             "cudaIpcOpenMemHandle cannot open a handle exported by the "
             f"opening process itself (rank {opener_rank})"
         )
-    try:
-        return _registry[handle.token]
-    except KeyError:
-        raise KeyError(f"IPC handle {handle.token} refers to a freed allocation")
-
-
-def ipc_close_mem_handle(handle: IpcHandle) -> None:
-    """Invalidate an exported handle (allocation freed)."""
-    _registry.pop(handle.token, None)
+    if not handle.memory.is_live(handle.allocation):
+        raise KeyError(
+            f"IPC handle of rank {handle.owner_rank} refers to a freed "
+            f"allocation ({handle.allocation.alloc_id})"
+        )
+    return handle.allocation

@@ -4,12 +4,13 @@ Paper §III-B / Fig. 3: after the IPC exchange, each GPU holds an array of
 mapped pointers — one per peer GPU — so a CUDA kernel can compute
 ``ptr_table[rank][local_offset]`` for any global address.  On an 8-GPU
 DGX-A100 the table is 8 pointers = 64 bytes per allocation, so it costs
-nothing and does not hurt scalability.
+nothing and does not hurt scalability.  An entry here is the peer's
+:class:`~repro.hardware.memory.Allocation` (the simulated device pointer).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from repro.hardware.memory import Allocation
 
 
 class MemoryPointerTable:
@@ -20,21 +21,21 @@ class MemoryPointerTable:
     def __init__(self, device_rank: int, num_ranks: int):
         self.device_rank = device_rank
         self.num_ranks = num_ranks
-        self._pointers: list[np.ndarray | None] = [None] * num_ranks
+        self._pointers: list[Allocation | None] = [None] * num_ranks
 
-    def set_pointer(self, rank: int, buffer: np.ndarray) -> None:
+    def set_pointer(self, rank: int, allocation: Allocation) -> None:
         """Install the mapped pointer for ``rank``'s partition."""
-        self._pointers[rank] = buffer
+        self._pointers[rank] = allocation
 
-    def pointer(self, rank: int) -> np.ndarray:
+    def pointer(self, rank: int) -> Allocation:
         """Dereference the table entry for ``rank``."""
-        buf = self._pointers[rank]
-        if buf is None:
+        ptr = self._pointers[rank]
+        if ptr is None:
             raise RuntimeError(
                 f"pointer table of device {self.device_rank} has no mapping "
                 f"for rank {rank} (IPC exchange incomplete?)"
             )
-        return buf
+        return ptr
 
     @property
     def complete(self) -> bool:

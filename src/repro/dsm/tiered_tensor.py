@@ -126,9 +126,6 @@ class TieredTensor:
     def total_bytes(self) -> int:
         return self.num_rows * self.row_bytes
 
-    def _require_data(self) -> None:
-        """WholeTensor-API shim: tiered tensors are always materialized."""
-
     def _check_rows(self, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
@@ -276,9 +273,9 @@ class TieredFeatureCache(FeatureCache):
     """Hot-row HBM cache whose misses pay the host/disk tier.
 
     Reuses the base class's per-rank cache arrays, CLOCK policy and
-    statistics wholesale; only the miss fill (one ``_data`` read instead of
-    per-rank partition reads) and the pricing (zero-copy PCIe + disk
-    staging instead of the NVLink curve) differ.  Hits stream from local
+    statistics wholesale, and fills misses with the same one ``_data`` read;
+    only the pricing (zero-copy PCIe + disk staging instead of the NVLink
+    curve) differs.  Hits stream from local
     HBM concurrently with the miss chain, so the slower side dominates —
     the same in-kernel overlap as ``cached_gather_time``.
     """

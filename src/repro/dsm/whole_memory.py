@@ -10,6 +10,12 @@ Reproduces the setup protocol of paper §III-B exactly:
 
 The setup is charged "tens to one or two hundred milliseconds" depending on
 size (paper §III-B); steady-state access afterwards is pure hardware P2P.
+
+The allocation is size-only: each rank's partition is a
+:class:`~repro.hardware.memory.DeviceMemory` reservation, and a pointer-table
+entry is the peer's :class:`~repro.hardware.memory.Allocation`.  No host
+bytes back the simulated capacity, so a 64 GB allocation costs the host
+nothing; :class:`~repro.dsm.whole_tensor.WholeTensor` keeps the real rows.
 """
 
 from __future__ import annotations
@@ -18,11 +24,7 @@ import numpy as np
 
 from repro.hardware import costmodel
 from repro.hardware.machine import SimNode
-from repro.dsm.ipc import (
-    ipc_close_mem_handle,
-    ipc_get_mem_handle,
-    ipc_open_mem_handle,
-)
+from repro.dsm.ipc import ipc_get_mem_handle, ipc_open_mem_handle
 from repro.dsm.pointer_table import MemoryPointerTable
 
 
@@ -71,17 +73,14 @@ class WholeMemory:
         self.total_bytes = sum(sizes)
 
         # Step 1: per-rank cudaMalloc + IPC export.
-        self._allocations = []
-        self.buffers: list[np.ndarray] = []
-        handles = []
-        for rank in range(num_ranks):
-            self._allocations.append(
-                node.gpu_memory[rank].allocate(sizes[rank], tag=tag)
-            )
-            buf = np.zeros(sizes[rank], dtype=np.uint8)
-            self.buffers.append(buf)
-            handles.append(ipc_get_mem_handle(rank, buf))
-        self._handles = handles
+        self._allocations = [
+            node.gpu_memory[rank].allocate(sizes[rank], tag=tag)
+            for rank in range(num_ranks)
+        ]
+        handles = [
+            ipc_get_mem_handle(rank, node.gpu_memory[rank], alloc)
+            for rank, alloc in enumerate(self._allocations)
+        ]
 
         # Step 2: AllGather of handles — after this every rank holds the
         # full handle list (simulated synchronously).
@@ -93,7 +92,7 @@ class WholeMemory:
             table = MemoryPointerTable(rank, num_ranks)
             for peer, handle in enumerate(gathered[rank]):
                 if peer == rank:
-                    table.set_pointer(rank, self.buffers[rank])
+                    table.set_pointer(rank, self._allocations[rank])
                 else:
                     table.set_pointer(peer, ipc_open_mem_handle(handle, rank))
             assert table.complete
@@ -108,13 +107,6 @@ class WholeMemory:
 
     # -- address arithmetic -------------------------------------------------
 
-    @property
-    def partition_offsets(self) -> np.ndarray:
-        """Global byte offset at which each rank's partition starts."""
-        return np.concatenate(
-            ([0], np.cumsum(self.partition_sizes)[:-1])
-        ).astype(np.int64)
-
     def rank_of_offset(self, offsets) -> np.ndarray:
         """Owning rank of each global byte offset."""
         bounds = np.cumsum(self.partition_sizes)
@@ -123,11 +115,9 @@ class WholeMemory:
     # -- lifecycle -----------------------------------------------------------
 
     def free(self) -> None:
-        """Release device memory and invalidate exported handles."""
+        """Release device memory, which invalidates the exported handles."""
         if self._freed:
             raise RuntimeError("WholeMemory already freed")
         for rank, alloc in enumerate(self._allocations):
             self.node.gpu_memory[rank].free(alloc)
-            ipc_close_mem_handle(self._handles[rank])
-        self.buffers = []
         self._freed = True

@@ -7,15 +7,18 @@ gather of paper §III-C3 (right side of Fig. 4).
 
 Two coupled behaviours:
 
-- **functional**: ``gather``/``scatter`` really move the data (NumPy fancy
-  indexing over the partition buffers);
-- **performance**: every access charges the calling GPU's clock using the
-  Fig. 8 segment-size bandwidth curve, with the remote fraction computed
-  from the actual owner distribution of the requested rows.
+- **functional**: the rows live in one ``(num_rows, num_cols)`` array in
+  global row order; ``gather``/``scatter`` are one fancy index each and
+  ``local_part`` is a view of a rank's rows;
+- **performance**: the device capacity is a size-only
+  :class:`~repro.dsm.whole_memory.WholeMemory` (per-rank
+  ``DeviceMemory`` reservations, IPC exchange, setup charge), and every
+  access charges the calling GPU's clock using the Fig. 8 segment-size
+  bandwidth curve, with the remote fraction computed from the actual owner
+  distribution of the requested rows.
 
-``materialize=False`` creates an accounting-only tensor (no backing NumPy
-data) so full-scale footprints like ogbn-papers100M's 53 GB feature matrix
-can be modelled without 53 GB of host RAM (Table IV).
+Full-scale footprints that do not fit host RAM (Table IV's ogbn-papers100M)
+are modelled with a bare ``WholeMemory``, which allocates no host bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ class WholeTensor:
         dtype=np.float32,
         tag: str = "wholetensor",
         charge_setup: bool = True,
-        materialize: bool = True,
         rows_per_rank: list[int] | None = None,
         partition: str = "block",
     ):
@@ -54,7 +56,6 @@ class WholeTensor:
         self.num_cols = int(num_cols)
         self.dtype = np.dtype(dtype)
         self.row_bytes = self.num_cols * self.dtype.itemsize
-        self.materialized = materialize
         self.tag = tag
         if partition not in ("block", "cyclic"):
             raise ValueError("partition must be 'block' or 'cyclic'")
@@ -77,29 +78,11 @@ class WholeTensor:
                 "rows_per_rank must have one entry per GPU and sum to num_rows"
             )
         self.rows_per_rank = [int(r) for r in rows_per_rank]
-        partition_bytes = [r * self.row_bytes for r in self.rows_per_rank]
-        if materialize:
-            self.memory = WholeMemory(
-                node, partition_bytes, tag=tag, charge_setup=charge_setup
-            )
-            self._parts = [
-                buf.view(self.dtype).reshape(rows, self.num_cols)
-                for buf, rows in zip(self.memory.buffers, self.rows_per_rank)
-            ]
-        else:
-            # accounting-only: reserve device memory and charge setup, but
-            # keep no host-side data.
-            self.memory = None
-            self._parts = None
-            self._allocations = [
-                node.gpu_memory[r].allocate(partition_bytes[r], tag=tag)
-                for r in range(node.num_gpus)
-            ]
-            if charge_setup:
-                t = costmodel.dsm_setup_time(sum(partition_bytes))
-                for clock in node.gpu_clock:
-                    clock.advance(t, phase="dsm_setup")
-                node.sync()
+        self.memory = WholeMemory(
+            node, [r * self.row_bytes for r in self.rows_per_rank], tag=tag,
+            charge_setup=charge_setup,
+        )
+        self._data = np.zeros((self.num_rows, self.num_cols), dtype=self.dtype)
 
         self.row_offsets = np.concatenate(
             ([0], np.cumsum(self.rows_per_rank))
@@ -125,28 +108,30 @@ class WholeTensor:
 
     def rank_of_row(self, rows) -> np.ndarray:
         """Owning rank of each (global) row index."""
-        return self._owners_and_local(np.asarray(rows, dtype=np.int64))[0]
+        rows = np.asarray(rows, dtype=np.int64)
+        if self.partition == "cyclic":
+            return rows % self.node.num_gpus
+        return np.searchsorted(self.row_offsets, rows, side="right").astype(
+            np.int64, copy=False
+        ) - 1
 
     def _owners_and_local(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Map global rows to ``(owner rank, local index)`` per layout."""
+        owners = self.rank_of_row(rows)
         if self.partition == "cyclic":
-            n = self.node.num_gpus
-            return rows % n, rows // n
-        owners = (
-            np.searchsorted(self.row_offsets, rows, side="right") - 1
-        ).astype(np.int64)
+            return owners, rows // self.node.num_gpus
         return owners, rows - self.row_offsets[owners]
 
     def local_part(self, rank: int) -> np.ndarray:
         """The rows resident on ``rank`` (a view, not a copy)."""
-        self._require_data()
-        return self._parts[rank]
+        if self.partition == "cyclic":
+            return self._data[rank :: self.node.num_gpus]
+        return self._data[self.row_offsets[rank] : self.row_offsets[rank + 1]]
 
-    def _require_data(self) -> None:
-        if not self.materialized:
-            raise RuntimeError(
-                "tensor was created with materialize=False (accounting only)"
-            )
+    def _remote_fraction(self, rows: np.ndarray, rank: int) -> float:
+        """Share of ``rows`` owned by ranks other than ``rank``."""
+        local = np.count_nonzero(self.rank_of_row(rows) == rank)
+        return float(rows.size - local) / max(rows.size, 1)
 
     def _check_rows(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -165,25 +150,17 @@ class WholeTensor:
         Each rank DMA-copies its own partition concurrently; returns the
         simulated per-rank transfer time.
         """
-        self._require_data()
-        array = np.ascontiguousarray(array, dtype=self.dtype).reshape(
+        self._data[:] = np.asarray(array, dtype=self.dtype).reshape(
             self.num_rows, self.num_cols
         )
         t = 0.0
-        for rank in range(self.node.num_gpus):
-            if self.partition == "cyclic":
-                part = array[rank :: self.node.num_gpus]
-            else:
-                lo, hi = self.row_offsets[rank], self.row_offsets[rank + 1]
-                part = array[lo:hi]
-            self._parts[rank][:] = part
+        for rank, rows in enumerate(self.rows_per_rank):
             t = costmodel.pcie_host_to_gpu_time(
-                part.shape[0] * self.row_bytes, shared=True
+                rows * self.row_bytes, shared=True
             )
             self.node.gpu_clock[rank].advance(
                 t, phase=phase, category="pcie",
-                args={"rows": int(part.shape[0]),
-                      "bytes": int(part.shape[0] * self.row_bytes),
+                args={"rows": rows, "bytes": rows * self.row_bytes,
                       "tensor": self.tag},
             )
         self.node.sync()
@@ -191,27 +168,18 @@ class WholeTensor:
 
     # -- the shared-memory global gather (one kernel) -------------------------
 
-    def gather(
-        self, rows, rank: int, phase: str = "gather", out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def gather(self, rows, rank: int, phase: str = "gather") -> np.ndarray:
         """Gather ``rows`` into ``rank``'s memory in one kernel.
 
         The underlying NVLink/NVSwitch handles all communication without
         software involvement (paper Fig. 4, right).  Returns the gathered
         ``(len(rows), num_cols)`` array.
         """
-        self._require_data()
         rows = self._check_rows(rows)
-        owners, local_rows = self._owners_and_local(rows)
-        if out is None:
-            out = np.empty((rows.size, self.num_cols), dtype=self.dtype)
-        for r in range(self.node.num_gpus):
-            mask = owners == r
-            if np.any(mask):
-                out[mask] = self._parts[r][local_rows[mask]]
+        out = self._data[rows]
 
         total_bytes = rows.size * self.row_bytes
-        remote = float(np.count_nonzero(owners != rank)) / max(rows.size, 1)
+        remote = self._remote_fraction(rows, rank)
         remote_bytes = int(round(total_bytes * remote))
         t = costmodel.gather_time(
             total_bytes,
@@ -259,44 +227,22 @@ class WholeTensor:
 
     def gather_no_cost(self, rows) -> np.ndarray:
         """Functional gather without clock charging (evaluation paths)."""
-        self._require_data()
-        rows = self._check_rows(rows)
-        owners, local_rows = self._owners_and_local(rows)
-        out = np.empty((rows.size, self.num_cols), dtype=self.dtype)
-        for r in range(self.node.num_gpus):
-            mask = owners == r
-            if np.any(mask):
-                out[mask] = self._parts[r][local_rows[mask]]
-        return out
+        return self._data[self._check_rows(rows)]
 
     def scatter_no_cost(self, rows, values: np.ndarray) -> None:
         """Functional scatter without clock charging (restore/update paths)."""
-        self._require_data()
         rows = self._check_rows(rows)
-        values = np.asarray(values, dtype=self.dtype).reshape(
+        self._data[rows] = np.asarray(values, dtype=self.dtype).reshape(
             rows.size, self.num_cols
         )
-        owners, local_rows = self._owners_and_local(rows)
-        for r in range(self.node.num_gpus):
-            mask = owners == r
-            if np.any(mask):
-                self._parts[r][local_rows[mask]] = values[mask]
 
     def scatter(
         self, rows, values: np.ndarray, rank: int, phase: str = "scatter"
     ) -> None:
         """Write ``values`` to ``rows`` from ``rank`` (single store kernel)."""
-        self._require_data()
-        rows = self._check_rows(rows)
-        values = np.asarray(values, dtype=self.dtype).reshape(
-            rows.size, self.num_cols
-        )
-        owners, local_rows = self._owners_and_local(rows)
-        for r in range(self.node.num_gpus):
-            mask = owners == r
-            if np.any(mask):
-                self._parts[r][local_rows[mask]] = values[mask]
-        remote = float(np.count_nonzero(owners != rank)) / max(rows.size, 1)
+        self.scatter_no_cost(rows, values)
+        rows = np.asarray(rows, dtype=np.int64)
+        remote = self._remote_fraction(rows, rank)
         total_bytes = rows.size * self.row_bytes
         t = costmodel.gather_time(
             total_bytes,
@@ -315,10 +261,5 @@ class WholeTensor:
 
     def free(self) -> None:
         """Release device memory."""
-        if self.materialized:
-            self.memory.free()
-            self._parts = None
-        else:
-            for rank, alloc in enumerate(self._allocations):
-                self.node.gpu_memory[rank].free(alloc)
-            self._allocations = []
+        self.memory.free()
+        self._data = None

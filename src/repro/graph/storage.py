@@ -14,9 +14,10 @@ All queries below are expressed in *stored* node IDs; callers translate from
 original IDs with :attr:`partition.to_stored` once at setup (train/val/test
 lists are translated at construction).
 
-``materialize=False`` builds an accounting-only store at arbitrary scale
-(Table IV models ogbn-papers100M's 24 GB structure + 53 GB features without
-holding them in host RAM).
+:func:`accounting_only_store` reserves a full-scale store's device memory as
+size-only :class:`~repro.dsm.whole_memory.WholeMemory` allocations (Table IV
+models ogbn-papers100M's 24 GB structure + 53 GB features without holding
+them in host RAM).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro import config
 from repro.dsm.feature_cache import FeatureCache
 from repro.dsm.host_tensor import HostPinnedTensor
 from repro.dsm.tiered_tensor import TieredFeatureCache, TieredTensor
+from repro.dsm.whole_memory import WholeMemory, split_evenly
 from repro.dsm.whole_tensor import WholeTensor
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DatasetSpec, SyntheticDataset
@@ -331,21 +333,22 @@ class MultiGpuGraphStore:
 
 def accounting_only_store(
     node: SimNode, spec: DatasetSpec, undirected: bool = True
-) -> dict[str, WholeTensor]:
+) -> dict[str, WholeMemory]:
     """Reserve (but do not materialise) full-scale storage for ``spec``.
 
-    Returns the accounting tensors; per-tag usage is then read from
+    Returns size-only allocations split per rank like a block-partitioned
+    :class:`WholeTensor` of the same shape; per-tag usage is then read from
     ``node.memory_usage_by_tag()``.  Used by the Table IV experiment: the
     real ogbn-papers100M needs 2 x 1.6 B x 8 B = 24 GB of edges and
     111.1 M x 128 x 4 B = 53 GB of features.
     """
     stored_edges = spec.full_edges * (2 if undirected else 1)
-    structure = WholeTensor(
-        node, stored_edges, 1, dtype=np.int64, tag="graph",
-        charge_setup=True, materialize=False,
-    )
-    features = WholeTensor(
-        node, spec.full_nodes, spec.feature_dim, dtype=np.float32,
-        tag="feature", charge_setup=True, materialize=False,
-    )
-    return {"graph": structure, "feature": features}
+
+    def reserve(rows: int, row_bytes: int, tag: str) -> WholeMemory:
+        per_rank = split_evenly(rows, node.num_gpus)
+        return WholeMemory(node, [r * row_bytes for r in per_rank], tag=tag)
+
+    return {
+        "graph": reserve(stored_edges, 8, "graph"),
+        "feature": reserve(spec.full_nodes, spec.feature_dim * 4, "feature"),
+    }

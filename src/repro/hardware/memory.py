@@ -66,6 +66,10 @@ class DeviceMemory:
         del self._live[alloc.alloc_id]
         self.used -= alloc.nbytes
 
+    def is_live(self, alloc: Allocation) -> bool:
+        """True until ``alloc`` is freed."""
+        return alloc.alloc_id in self._live
+
     @property
     def free_bytes(self) -> int:
         return self.capacity - self.used

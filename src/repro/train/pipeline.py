@@ -200,6 +200,20 @@ def train_span_args(subgraph: SampledSubgraph) -> dict:
             "input_nodes": int(subgraph.input_nodes.shape[0])}
 
 
+def mirror_charges(
+    node, rank: int, t_sample: float, t_gather: float, t_train: float
+) -> None:
+    """Charge one batch's sample, gather and train seconds to every rank
+    but ``rank``: the data-parallel peers run a same-sized batch."""
+    for r in range(node.num_gpus):
+        if r == rank:
+            continue
+        clk = node.gpu_clock[r]
+        clk.advance(t_sample, phase="sample")
+        clk.advance(t_gather, phase="gather")
+        clk.advance(t_train, phase="train")
+
+
 class BatchLoader:
     """The schedule interface the epoch loops drive.
 
@@ -314,13 +328,7 @@ class SequentialLoader(BatchLoader):
         reg = metrics.get_registry()
         reg.counter("iterations_total", schedule="sequential").inc(1)
         reg.counter("phase_seconds_total", phase="train").inc(train)
-        for r in range(node.num_gpus):
-            if r == self.rank:
-                continue
-            clk = node.gpu_clock[r]
-            clk.advance(t_sample, phase="sample")
-            clk.advance(t_gather, phase="gather")
-            clk.advance(train, phase="train")
+        mirror_charges(node, self.rank, t_sample, t_gather, train)
         return train
 
 

@@ -38,7 +38,7 @@ from repro.ops.negative_sampling import (
 from repro.ops.neighbor_sampler import NeighborSampler
 from repro.train.checkpoint import save_checkpoint
 from repro.train.metrics import PhaseTimes, roc_auc
-from repro.train.pipeline import train_span_args
+from repro.train.pipeline import mirror_charges, train_span_args
 from repro.train.plans.base import resolve_plan
 from repro.utils.rng import RngPool, spawn_rng
 
@@ -149,11 +149,7 @@ def linkpred_step(
         train_t, phase="train", category="compute",
         args=train_span_args(res.subgraph),
     )
-    for r in range(1, node.num_gpus):
-        clk = node.gpu_clock[r]
-        clk.advance(res.t_sample, phase="sample")
-        clk.advance(res.t_gather, phase="gather")
-        clk.advance(train_t, phase="train")
+    mirror_charges(node, 0, res.t_sample, res.t_gather, train_t)
     return float(res.loss.data), res, train_t
 
 

@@ -1,12 +1,14 @@
 """WholeMemory setup protocol, IPC semantics and pointer tables."""
 
-import numpy as np
+import itertools
+
 import pytest
 
-from repro.dsm.ipc import IpcHandle, ipc_get_mem_handle, ipc_open_mem_handle
+from repro.dsm import ipc
+from repro.dsm.ipc import ipc_get_mem_handle, ipc_open_mem_handle
 from repro.dsm.pointer_table import MemoryPointerTable
 from repro.dsm.whole_memory import WholeMemory, split_evenly
-from repro.hardware import SimNode
+from repro.hardware import DeviceMemory, SimNode
 
 
 def test_split_evenly_covers_total():
@@ -16,21 +18,32 @@ def test_split_evenly_covers_total():
 
 
 def test_ipc_cannot_open_own_handle():
-    buf = np.zeros(16, dtype=np.uint8)
-    h = ipc_get_mem_handle(3, buf)
+    mem = DeviceMemory("gpu3", 1024)
+    alloc = mem.allocate(16)
+    h = ipc_get_mem_handle(3, mem, alloc)
+    assert h.nbytes == 16
     with pytest.raises(ValueError):
         ipc_open_mem_handle(h, 3)
-    assert ipc_open_mem_handle(h, 0) is buf
+    assert ipc_open_mem_handle(h, 0) is alloc
 
 
 def test_ipc_freed_handle_rejected():
-    from repro.dsm.ipc import ipc_close_mem_handle
-
-    buf = np.zeros(16, dtype=np.uint8)
-    h = ipc_get_mem_handle(0, buf)
-    ipc_close_mem_handle(h)
+    mem = DeviceMemory("gpu0", 1024)
+    alloc = mem.allocate(16)
+    h = ipc_get_mem_handle(0, mem, alloc)
+    mem.free(alloc)
     with pytest.raises(KeyError):
         ipc_open_mem_handle(h, 1)
+
+
+def test_ipc_module_holds_no_state():
+    # freeing the allocation is what invalidates a handle; the module keeps
+    # no registry that could hold exported allocations alive
+    assert not [
+        name for name, value in vars(ipc).items()
+        if not name.startswith("__")
+        and isinstance(value, (dict, list, set, itertools.count))
+    ]
 
 
 def test_pointer_table_requires_complete_exchange():
@@ -38,8 +51,9 @@ def test_pointer_table_requires_complete_exchange():
     assert not t.complete
     with pytest.raises(RuntimeError):
         t.pointer(2)
+    mem = DeviceMemory("gpu", 64)
     for r in range(4):
-        t.set_pointer(r, np.zeros(1, dtype=np.uint8))
+        t.set_pointer(r, mem.allocate(1))
     assert t.complete
 
 
@@ -51,12 +65,15 @@ def test_pointer_table_is_64_bytes_on_8_gpus():
 def test_whole_memory_partitions_and_tables(node: SimNode):
     wm = WholeMemory(node, 8000, tag="t")
     assert sum(wm.partition_sizes) == 8000
-    assert len(wm.buffers) == 8
     for rank, table in enumerate(wm.pointer_tables):
         assert table.complete
         for peer in range(8):
-            # every rank's table points at the peer's actual buffer
-            assert table.pointer(peer) is wm.buffers[peer]
+            # every rank's table points at the peer's device allocation
+            alloc = table.pointer(peer)
+            assert alloc.device == node.gpu_memory[peer].device
+            assert alloc.nbytes == wm.partition_sizes[peer]
+            assert node.gpu_memory[peer].is_live(alloc)
+            assert alloc is wm.pointer_tables[peer].pointer(peer)
 
 
 def test_whole_memory_charges_device_memory(node: SimNode):
@@ -81,10 +98,23 @@ def test_whole_memory_rank_of_offset(node: SimNode):
 
 def test_whole_memory_free_releases(node: SimNode):
     wm = WholeMemory(node, 800, tag="x", charge_setup=False)
+    peer = wm.pointer_tables[1].pointer(0)
     wm.free()
     assert node.total_memory_usage() == 0
+    assert not node.gpu_memory[0].is_live(peer)
     with pytest.raises(RuntimeError):
         wm.free()
+
+
+def test_whole_memory_accounts_256gb_without_host_bytes():
+    node = SimNode()
+    num_rows = 500_000_000  # 256 GB total — far beyond host RAM, fits 8x40GB
+    wm = WholeMemory(node, num_rows * 128 * 4, tag="feature",
+                     charge_setup=False)
+    usage = node.memory_usage_by_tag()
+    assert usage["feature"] == num_rows * 128 * 4
+    wm.free()
+    assert node.total_memory_usage() == 0
 
 
 def test_whole_memory_wrong_partition_count(node: SimNode):

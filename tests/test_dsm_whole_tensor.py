@@ -97,19 +97,6 @@ def test_explicit_rows_per_rank():
         WholeTensor(node, 100, 2, rows_per_rank=[50, 50], charge_setup=False)
 
 
-def test_materialize_false_accounts_without_data():
-    node = SimNode()
-    num_rows = 500_000_000  # 256 GB total — far beyond host RAM, fits 8x40GB
-    t = WholeTensor(node, num_rows, 128, tag="feature", materialize=False,
-                    charge_setup=False)
-    usage = node.memory_usage_by_tag()
-    assert usage["feature"] == num_rows * 128 * 4
-    with pytest.raises(RuntimeError):
-        t.gather(np.array([0]), 0)
-    t.free()
-    assert node.total_memory_usage() == 0
-
-
 def test_gather_no_cost_does_not_touch_clock(loaded):
     node, t, host = loaded
     node.reset_clocks()

@@ -1,5 +1,8 @@
 """Hash partitioning, GlobalIDs and the multi-GPU graph store."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -126,6 +129,16 @@ def test_store_free_releases(small_dataset):
     store = MultiGpuGraphStore(node, small_dataset, seed=0)
     store.free()
     assert node.total_memory_usage() == 0
+
+
+def test_dropped_store_releases_its_feature_rows(small_dataset):
+    # nothing process-global (e.g. an IPC handle registry) may keep a
+    # dropped store's rows alive
+    store = MultiGpuGraphStore(SimNode(), small_dataset, seed=0)
+    rows = weakref.ref(store.feature_tensor.local_part(0).base)
+    del store
+    gc.collect()
+    assert rows() is None
 
 
 def test_datasets_registry_complete():
