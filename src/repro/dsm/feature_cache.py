@@ -185,7 +185,6 @@ class FeatureCache:
         rows = tensor._check_rows(rows)
         st = self._ranks[rank]
         out = np.empty((rows.size, tensor.num_cols), dtype=tensor.dtype)
-        owners = tensor.rank_of_row(rows)
 
         slots = st.slot_of[rows] if rows.size else np.empty(0, dtype=np.int64)
         hit = slots >= 0
@@ -196,15 +195,7 @@ class FeatureCache:
         if num_hits < rows.size:
             out[miss] = tensor._data[rows[miss]]
 
-        # -- cost: hits + locally-owned misses stream from HBM, remote misses
-        # ride the NVLink random-read curve; both streams overlap in-kernel
-        remote_miss = int(np.count_nonzero(miss & (owners != rank)))
-        local_rows = rows.size - remote_miss
-        t = costmodel.cached_gather_time(
-            local_rows * self.row_bytes,
-            remote_miss * self.row_bytes,
-            self.row_bytes,
-        )
+        t, args, saved, link_bytes = self._price(rows, rank, hit, num_hits)
         inserted = 0
         if self.policy == "clock" and self.capacity_rows > 0:
             st.ref[slots[hit]] = True
@@ -214,24 +205,17 @@ class FeatureCache:
                 # pay only the HBM write into the cache array
                 t += costmodel.elementwise_time(inserted * self.row_bytes)
         self.node.gpu_clock[rank].advance(
-            t, phase=phase, category="gather",
-            args={"rows": int(rows.size), "cache_hits": num_hits,
-                  "remote_miss_rows": remote_miss,
-                  "bytes": int(rows.size * self.row_bytes),
-                  "remote_bytes": int(remote_miss * self.row_bytes)},
+            t, phase=phase, category="gather", args=args
         )
 
         num_misses = rows.size - num_hits
-        remote_saved = (
-            int(np.count_nonzero(hit & (owners != rank))) * self.row_bytes
-        )
         stats = st.stats
         stats["gather_calls"] += 1
         stats["hits"] += num_hits
         stats["misses"] += num_misses
         stats["hit_bytes"] += num_hits * self.row_bytes
         stats["miss_bytes"] += num_misses * self.row_bytes
-        stats["remote_bytes_saved"] += remote_saved
+        stats["remote_bytes_saved"] += saved
         stats["gather_time"] += t
 
         reg = metrics.get_registry()
@@ -239,20 +223,44 @@ class FeatureCache:
         reg.counter("cache_requests_total").inc(rows.size)
         reg.counter("cache_hits_total").inc(num_hits)
         reg.counter("cache_misses_total").inc(num_misses)
-        reg.counter("cache_remote_bytes_saved_total").inc(remote_saved)
+        reg.counter("cache_remote_bytes_saved_total").inc(saved)
         # cached gathers bypass WholeTensor.gather, so the per-link ledger
-        # is fed here: remote misses ride NVLink, everything else is HBM
-        reg.counter("gather_link_bytes_total", link="nvlink").inc(
-            remote_miss * self.row_bytes, t=now
-        )
-        reg.counter("gather_link_bytes_total", link="hbm").inc(
-            local_rows * self.row_bytes, t=now
-        )
+        # is fed here
+        for link, nbytes in link_bytes.items():
+            reg.counter("gather_link_bytes_total", link=link).inc(
+                nbytes, t=now
+            )
         total = reg.total("cache_hits_total") + reg.total("cache_misses_total")
         reg.gauge("cache_hit_rate").set(
             reg.total("cache_hits_total") / total if total else 0.0, t=now
         )
         return out
+
+    def _price(
+        self, rows: np.ndarray, rank: int, hit: np.ndarray, num_hits: int
+    ) -> tuple[float, dict, int, dict]:
+        """Price one cached gather of ``rows`` onto ``rank`` (before CLOCK
+        inserts).
+
+        Returns ``(seconds, span args, bytes the hits kept off a slower
+        link, bytes per link)``.  Hits and locally-owned misses stream from
+        HBM, remote misses ride the NVLink random-read curve; both streams
+        overlap in-kernel.
+        """
+        remote = self.tensor.rank_of_row(rows) != rank
+        remote_miss = int(np.count_nonzero(~hit & remote))
+        local_rows = rows.size - remote_miss
+        rb = self.row_bytes
+        t = costmodel.cached_gather_time(
+            local_rows * rb, remote_miss * rb, rb
+        )
+        args = {"rows": int(rows.size), "cache_hits": num_hits,
+                "remote_miss_rows": remote_miss,
+                "bytes": int(rows.size * rb),
+                "remote_bytes": int(remote_miss * rb)}
+        saved = int(np.count_nonzero(hit & remote)) * rb
+        return t, args, saved, {"nvlink": remote_miss * rb,
+                                "hbm": local_rows * rb}
 
     def _insert_misses(
         self,

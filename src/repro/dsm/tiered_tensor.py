@@ -272,12 +272,11 @@ class TieredTensor:
 class TieredFeatureCache(FeatureCache):
     """Hot-row HBM cache whose misses pay the host/disk tier.
 
-    Reuses the base class's per-rank cache arrays, CLOCK policy and
-    statistics wholesale, and fills misses with the same one ``_data`` read;
-    only the pricing (zero-copy PCIe + disk staging instead of the NVLink
-    curve) differs.  Hits stream from local
-    HBM concurrently with the miss chain, so the slower side dominates —
-    the same in-kernel overlap as ``cached_gather_time``.
+    Runs the base class's cached gather unchanged and overrides only its
+    pricing hook (zero-copy PCIe + disk staging instead of the NVLink
+    curve) and the prefill time.  Hits stream from local HBM concurrently
+    with the miss chain, so the slower side dominates — the same in-kernel
+    overlap as ``cached_gather_time``.
     """
 
     def __init__(self, tensor: TieredTensor, capacity_rows: int, **kwargs):
@@ -290,26 +289,15 @@ class TieredFeatureCache(FeatureCache):
         t, _ = self.tensor.fetch_time(rows)
         return t + costmodel.elementwise_time(rows.size * self.row_bytes)
 
-    def gather(self, rows, rank: int, phase: str = "gather") -> np.ndarray:
+    def _price(
+        self, rows: np.ndarray, rank: int, hit: np.ndarray, num_hits: int
+    ) -> tuple[float, dict, int, dict]:
+        """Hits stream from HBM, warm misses ride zero-copy PCIe, cold
+        misses chain disk staging + PCIe; all streams overlap in-kernel so
+        the slowest dominates.  Every hit is a PCIe/disk transfer the cache
+        eliminated.  Also feeds the per-tier byte counters."""
         tensor = self.tensor
-        rows = tensor._check_rows(rows)
-        st = self._ranks[rank]
-        out = np.empty((rows.size, tensor.num_cols), dtype=tensor.dtype)
-
-        slots = st.slot_of[rows] if rows.size else np.empty(0, dtype=np.int64)
-        hit = slots >= 0
-        num_hits = int(np.count_nonzero(hit))
-        if num_hits:
-            out[hit] = st.data[slots[hit]]
-        miss = ~hit
-        miss_rows = rows[miss]
-        if miss_rows.size:
-            out[miss] = tensor._data[miss_rows]
-
-        # -- cost: hits stream from HBM, warm misses ride zero-copy PCIe,
-        # cold misses chain disk staging + PCIe; all streams overlap
-        # in-kernel so the slowest dominates
-        host_miss, disk_miss = tensor.tier_split(miss_rows)
+        host_miss, disk_miss = tensor.tier_split(rows[~hit])
         rb = self.row_bytes
         host_bytes = host_miss * rb
         disk_bytes = disk_miss * rb
@@ -323,52 +311,13 @@ class TieredFeatureCache(FeatureCache):
             )
         t_local = hit_bytes / costmodel.local_random_read_bw(rb)
         t = config.KERNEL_LAUNCH_OVERHEAD + max(t_local, t_warm, t_cold)
-
-        inserted = 0
-        if self.policy == "clock" and self.capacity_rows > 0:
-            st.ref[slots[hit]] = True
-            inserted = self._insert_misses(st, rows, out, miss)
-            if inserted:
-                t += costmodel.elementwise_time(inserted * rb)
-        self.node.gpu_clock[rank].advance(
-            t, phase=phase, category="gather",
-            args={"rows": int(rows.size), "cache_hits": num_hits,
-                  "bytes": int(rows.size * rb),
-                  "host_bytes": int(host_bytes),
-                  "disk_bytes": int(disk_bytes),
-                  "tensor": tensor.tag},
-        )
-
-        num_misses = rows.size - num_hits
-        stats = st.stats
-        stats["gather_calls"] += 1
-        stats["hits"] += num_hits
-        stats["misses"] += num_misses
-        stats["hit_bytes"] += hit_bytes
-        stats["miss_bytes"] += num_misses * rb
-        # every hit is a PCIe/disk transfer the HBM cache eliminated
-        stats["remote_bytes_saved"] += hit_bytes
-        stats["gather_time"] += t
-
+        args = {"rows": int(rows.size), "cache_hits": num_hits,
+                "bytes": int(rows.size * rb),
+                "host_bytes": int(host_bytes),
+                "disk_bytes": int(disk_bytes),
+                "tensor": tensor.tag}
         reg = metrics.get_registry()
-        now = self.node.gpu_clock[rank].now
-        reg.counter("cache_requests_total").inc(rows.size)
-        reg.counter("cache_hits_total").inc(num_hits)
-        reg.counter("cache_misses_total").inc(num_misses)
-        reg.counter("cache_remote_bytes_saved_total").inc(hit_bytes)
-        reg.counter("gather_link_bytes_total", link="hbm").inc(
-            hit_bytes, t=now
-        )
-        reg.counter("gather_link_bytes_total", link="pcie").inc(
-            host_bytes, t=now
-        )
-        reg.counter("gather_link_bytes_total", link="disk").inc(
-            disk_bytes, t=now
-        )
         reg.counter("tier_gather_bytes_total", tier="host").inc(host_bytes)
         reg.counter("tier_gather_bytes_total", tier="disk").inc(disk_bytes)
-        total = reg.total("cache_hits_total") + reg.total("cache_misses_total")
-        reg.gauge("cache_hit_rate").set(
-            reg.total("cache_hits_total") / total if total else 0.0, t=now
-        )
-        return out
+        return t, args, hit_bytes, {"hbm": hit_bytes, "pcie": host_bytes,
+                                    "disk": disk_bytes}

@@ -36,6 +36,10 @@ import numpy as np
 from repro.utils.hashing import splitmix64
 
 EMPTY_KEY = np.int64(-1)
+#: an insert with at most this many pending lanes finishes lane by lane:
+#: a vectorised round costs about twenty NumPy calls whatever its width,
+#: which a handful of scalar probes undercuts
+PROBE_TAIL_LANES = 16
 
 
 class GpuHashTable:
@@ -79,7 +83,9 @@ class GpuHashTable:
         lane wins the CAS and inserts, the rest subsequently find the key.
         """
         keys = np.asarray(keys, dtype=np.int64).ravel()
-        values = np.broadcast_to(np.asarray(values, dtype=np.int64), keys.shape)
+        values = np.asarray(values, dtype=np.int64)
+        if values.ndim:
+            values = np.broadcast_to(values, keys.shape)
         if np.any(keys == EMPTY_KEY):
             raise ValueError("-1 is the reserved empty key")
         n = keys.shape[0]
@@ -105,6 +111,11 @@ class GpuHashTable:
         max_rounds = 2 * cap + 4
         rounds = 0
         while cur.size and rounds < max_rounds:
+            if cur.size <= PROBE_TAIL_LANES:
+                rounds, cur = self._probe_tail(
+                    keys, pending, cur, claim, slots_out, rounds, max_rounds
+                )
+                break
             rounds += 1
             slot_keys = self.keys[cur]
             # lanes whose probed slot already holds their key: hit.
@@ -137,11 +148,50 @@ class GpuHashTable:
         # table, is still unresolved)
         found = claim[slots_out] != lanes
         inserted = (~found).nonzero()[0]
-        self.values[slots_out[inserted]] = values[inserted]
+        self.values[slots_out[inserted]] = (
+            values[inserted] if values.ndim else values
+        )
         self.size += inserted.size
         if cur.size:
             raise RuntimeError("hash table is full (probe loop exhausted)")
         return slots_out, found, rounds
+
+    def _probe_tail(self, keys, pending, cur, claim, slots_out, rounds,
+                    max_rounds):
+        """Finish an insert's last few lanes with scalar probe rounds.
+
+        The rounds are the vectorised loop's: every lane reads its slot at
+        the start of the round, the lowest lane wins an empty slot (and is
+        recorded in ``claim``), losers retry the same slot, lanes on a
+        foreign key advance one slot with wrap-around, and the writes land
+        at the end of the round.  Returns the round count and the slots of
+        the lanes still unresolved when ``max_rounds`` ran out.
+        """
+        table = self.keys
+        cap = self.capacity
+        empty = int(EMPTY_KEY)
+        lanes = list(zip(pending.tolist(), keys[pending].tolist(),
+                         cur.tolist()))
+        while lanes and rounds < max_rounds:
+            rounds += 1
+            won: dict[int, tuple[int, int]] = {}
+            retry = []
+            for lane, key, slot in lanes:  # ascending lane order
+                held = table.item(slot)
+                if held == key:
+                    slots_out[lane] = slot
+                elif held != empty:
+                    retry.append((lane, key, slot + 1 if slot + 1 < cap else 0))
+                elif slot in won:
+                    retry.append((lane, key, slot))
+                else:
+                    won[slot] = (lane, key)
+                    slots_out[lane] = slot
+            for slot, (lane, key) in won.items():
+                table[slot] = key
+                claim[slot] = lane
+            lanes = retry
+        return rounds, np.array([s for _, _, s in lanes], dtype=np.int64)
 
     def lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(values, found)`` per key; missing keys get value -1.

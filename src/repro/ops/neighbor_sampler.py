@@ -135,6 +135,96 @@ class SampledSubgraph:
                 raise AssertionError(f"frontier {l} is not a prefix of {l+1}")
 
 
+def union_rows(subs: list[SampledSubgraph], arrays: list) -> np.ndarray:
+    """Per-sub arrays aligned with each sub's input rows, in the row order
+    of the :func:`batch_subgraphs` union: group by group, sub by sub.
+
+    Equal to ``np.concatenate(arrays)[perm]``, built with one copy.
+    """
+    bounds = [[0] + [f.shape[0] for f in s.frontiers] for s in subs]
+    return np.concatenate([
+        a[b[g]:b[g + 1]]
+        for g in range(subs[0].num_layers + 1)
+        for a, b in zip(arrays, bounds)
+    ])
+
+
+def batch_subgraphs(
+    subs: list[SampledSubgraph],
+) -> tuple[SampledSubgraph, np.ndarray]:
+    """Block-diagonal union of same-depth sub-graphs, for one fused forward.
+
+    Union frontier ``l`` is group 0 (every sub's seeds, in sub order)
+    followed by groups ``1..l`` (every sub's frontier-``g`` suffix, the rows
+    ``frontiers[g]`` adds to ``frontiers[g-1]``), so the union keeps the
+    prefix property.  No row aggregates across subs: a node two subs
+    sampled appears once per sub.  Each union row keeps its sub's CSR entry
+    order, so per-row SpMM sums are unchanged.
+
+    Returns ``(union, perm)``: ``perm`` indexes the concatenation of the
+    subs' input rows, so ``union.input_nodes`` (and the union's input
+    features, see :func:`union_rows`) are that concatenation taken at
+    ``perm``.
+    """
+    depth = subs[0].num_layers
+    if any(s.num_layers != depth for s in subs):
+        raise ValueError("sub-graphs of different depths cannot be batched")
+    # sizes[s, g]: rows of sub s's frontier g
+    sizes = np.array([[f.shape[0] for f in s.frontiers] for s in subs],
+                     dtype=np.int64)
+    input_off = exclusive_prefix_sum(sizes[:, -1])
+    perm = union_rows(
+        subs, np.split(np.arange(int(sizes[:, -1].sum())), input_off[1:])
+    )
+    pos = np.empty_like(perm)  # union row of each concatenated input row
+    pos[perm] = np.arange(perm.shape[0])
+    sub_of = np.repeat(np.arange(len(subs)), sizes[:, -1])
+    row_in_sub = np.arange(perm.shape[0]) - input_off[sub_of]
+
+    def head_rows(n: int, per_sub: np.ndarray) -> np.ndarray:
+        """Index of the first ``n`` union rows into the concatenation of
+        each sub's first ``per_sub[s]`` rows."""
+        c = perm[:n]
+        return exclusive_prefix_sum(per_sub)[sub_of[c]] + row_in_sub[c]
+
+    input_nodes = union_rows(subs, [s.input_nodes for s in subs])
+    totals = sizes.sum(axis=0)
+    blocks = []
+    for l in range(depth):
+        parts = [s.blocks[l] for s in subs]
+        rows = head_rows(int(totals[l]), sizes[:, l])
+        starts = np.concatenate([b.indptr[:-1] for b in parts])
+        counts = (np.concatenate([b.indptr[1:] for b in parts]) - starts)[rows]
+        # each row's first edge in the concatenation of the subs' edges
+        starts += np.repeat(
+            exclusive_prefix_sum([b.num_edges for b in parts]), sizes[:, l]
+        )
+        indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        edges = np.repeat(starts[rows] - indptr[:-1], counts) + np.arange(
+            int(indptr[-1])
+        )
+        cols = np.concatenate(
+            [b.indices + off for b, off in zip(parts, input_off)]
+        )
+        positions = None
+        if all(b.edge_positions is not None for b in parts):
+            positions = np.concatenate([b.edge_positions for b in parts])[edges]
+        src = head_rows(int(totals[l + 1]), sizes[:, l + 1])
+        blocks.append(LayerBlock(
+            indptr=indptr,
+            indices=pos[cols[edges]],
+            num_targets=int(totals[l]),
+            num_src=int(totals[l + 1]),
+            duplicate_counts=np.concatenate(
+                [b.duplicate_counts for b in parts]
+            )[src],
+            edge_positions=positions,
+        ))
+    frontiers = [input_nodes[: int(n)] for n in totals]
+    return SampledSubgraph(frontiers=frontiers, blocks=blocks), perm
+
+
 class NeighborSampler:
     """Samples multi-layer sub-graphs from a :class:`MultiGpuGraphStore`."""
 

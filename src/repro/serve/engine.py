@@ -9,6 +9,13 @@ data path — neighbor sampling over the sharded CSR, feature gather through
 every request charges genuine bytes-per-link and kernel costs to the
 replica's :class:`~repro.hardware.clock.SimClock`.
 
+The forward itself is deferred: its ``serve_infer`` charge depends on the
+sub-graph's sizes alone, so a dispatched batch samples, gathers and charges
+its clock as usual and queues a :class:`DeferredForward`.  ``serve()`` runs
+one forward over the block-diagonal union of the queued sub-graphs once
+their input rows reach :data:`FUSED_FORWARD_ROWS`, and once more at the
+end.  The clock charges, and so every latency, are unchanged.
+
 Per-request latency is *completion minus arrival* on the simulated clock:
 queueing delay (the micro-batcher's wait), then sampling, gather and forward
 service time.  The engine reports exact p50/p90/p95/p99 over the run in a
@@ -21,7 +28,8 @@ Two serving modes:
 
 - **model serving** (``model=`` a :class:`~repro.serve.model.FrozenModel`):
   sample an L-layer sub-graph per batch, gather the deepest frontier's
-  features, run the frozen forward, answer with class predictions;
+  features, run the frozen forward (fused across batches), answer with
+  class predictions;
 - **embedding lookup** (``model=None``): answer with the raw feature rows of
   the requested nodes — a pure sharded-gather workload, the lower bound of
   the latency story.
@@ -30,12 +38,18 @@ Two serving modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import config
 from repro.graph.storage import MultiGpuGraphStore
-from repro.ops.neighbor_sampler import NeighborSampler
+from repro.ops.neighbor_sampler import (
+    NeighborSampler,
+    SampledSubgraph,
+    batch_subgraphs,
+    union_rows,
+)
 from repro.sim import Event
 from repro.serve.batcher import MicroBatcher, Request
 from repro.serve.model import FrozenModel
@@ -45,6 +59,21 @@ from repro.utils.rng import RngPool
 
 #: routing policies: request index round-robin vs node-ID hash affinity
 ROUTING_POLICIES = ("round_robin", "hash")
+#: queued batches run their fused forward once their input rows reach this
+#: (it bounds the fused working set)
+FUSED_FORWARD_ROWS = 16384
+
+
+class DeferredForward(NamedTuple):
+    """A sampled and gathered batch whose forward has not run yet.
+
+    ``inverse`` fans the sub-graph's unique seeds back out to the batch's
+    requests.
+    """
+
+    sub: SampledSubgraph
+    feats: np.ndarray
+    inverse: np.ndarray
 
 
 @dataclass
@@ -183,6 +212,9 @@ class InferenceEngine:
         )
         batch_rows: list[dict] = []
         completion_at = np.zeros(n, dtype=np.float64) if analysis else None
+        # forwards waiting to run fused: (request indices, DeferredForward)
+        queued: list[tuple[np.ndarray, DeferredForward]] = []
+        queued_rows = 0
 
         for ri, rank in enumerate(self.replicas):
             mine = order[replica_idx[order] == ri]
@@ -218,7 +250,13 @@ class InferenceEngine:
                 dispatch = done.start
                 preds = done.value
                 exec_info = self._last_exec
-                if predictions is not None and preds is not None:
+                if isinstance(preds, DeferredForward):
+                    queued.append((batch, preds))
+                    queued_rows += preds.feats.shape[0]
+                    if queued_rows >= FUSED_FORWARD_ROWS:
+                        self._forward(queued, predictions)
+                        queued_rows = 0
+                elif predictions is not None and preds is not None:
                     predictions[batch] = preds
                 latencies[batch] = completion - abs_arrival[
                     i:decision.last_index
@@ -275,6 +313,8 @@ class InferenceEngine:
                 "latency": latency_summary(latencies[mine]),
             })
 
+        if queued:
+            self._forward(queued, predictions)
         duration = last_completion - t0
         qps = n / duration if duration > 0 else 0.0
         reg.gauge("serve_qps").set(qps)
@@ -319,11 +359,14 @@ class InferenceEngine:
 
     def _execute(
         self, seeds: np.ndarray, rank: int, rng: np.random.Generator
-    ) -> np.ndarray | None:
+    ) -> DeferredForward | None:
         """Run one dispatched batch on ``rank``, charging its clock.
 
-        Returns the batch's class predictions (model mode) or ``None``
-        (embedding mode, where the gathered rows are the response).
+        Samples, gathers and charges the forward's simulated time, which
+        depends on sizes alone; the forward itself is handed back as a
+        :class:`DeferredForward` for :meth:`_forward` (model mode).
+        Returns ``None`` in embedding mode, where the gathered rows are the
+        response.
         """
         node = self.node
         clock = node.gpu_clock[rank]
@@ -346,7 +389,6 @@ class InferenceEngine:
                 "input_nodes": int(sub.input_nodes.shape[0]),
             }
             if self.model is not None:
-                logits = self.model(sub, feats)
                 clock.advance(
                     self.model.estimate_inference_time(sub),
                     phase="serve_infer", category="serve",
@@ -354,7 +396,7 @@ class InferenceEngine:
                           "input_nodes": int(sub.input_nodes.shape[0])},
                 )
                 self._last_exec["infer"] = clock.now - t2
-                return logits.argmax(axis=-1)[inverse]
+                return DeferredForward(sub, feats, inverse)
             return None
         t0 = clock.now
         self.store.gather_features(seeds, rank, phase="serve_gather")
@@ -363,6 +405,30 @@ class InferenceEngine:
             "rows": int(seeds.shape[0]), "input_nodes": int(seeds.shape[0]),
         }
         return None
+
+    def _forward(self, queued: list, predictions: np.ndarray) -> None:
+        """Run the queued forwards as one and write their predictions.
+
+        One forward over the block-diagonal union of the queued sub-graphs
+        (:func:`~repro.ops.neighbor_sampler.batch_subgraphs`); a single
+        queued batch runs on its own sub-graph.  Empties ``queued``.
+        """
+        if len(queued) == 1:
+            (_, rec), = queued
+            logits = self.model(rec.sub, rec.feats)
+        else:
+            subs = [rec.sub for _, rec in queued]
+            union, _ = batch_subgraphs(subs)
+            feats = union_rows(subs, [rec.feats for _, rec in queued])
+            logits = self.model(union, feats)
+        # the union's seed rows are every sub's seeds, in queue order
+        preds = logits.argmax(axis=-1)
+        start = 0
+        for batch, rec in queued:
+            stop = start + rec.sub.seeds.shape[0]
+            predictions[batch] = preds[start:stop][rec.inverse]
+            start = stop
+        queued.clear()
 
     # -- analysis helpers (opt-in; never touch a clock) --------------------------
 

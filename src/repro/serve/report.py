@@ -48,8 +48,8 @@ def latency_summary(latencies) -> dict:
         "min": float(lat.min()),
         "max": float(lat.max()),
     }
-    for q in LATENCY_QUANTILES:
-        out[f"p{int(q)}"] = float(np.percentile(lat, q))
+    for q, v in zip(LATENCY_QUANTILES, np.percentile(lat, LATENCY_QUANTILES)):
+        out[f"p{int(q)}"] = float(v)
     return out
 
 

@@ -88,6 +88,10 @@ class Gauge:
                 "value": self.value}
 
 
+#: what :meth:`Histogram.observe` records without building an array
+_SCALARS = (int, float, np.integer, np.floating)
+
+
 @dataclass
 class Histogram:
     """Power-of-two bucketed distribution (gather sizes, fan-outs, ...).
@@ -107,6 +111,14 @@ class Histogram:
 
     def observe(self, value) -> None:
         """Record one value or a whole array of values (vectorised)."""
+        if isinstance(value, _SCALARS):
+            v = float(value)
+            self.count += 1
+            self.total += v
+            self.min = min(self.min, v)
+            self.max = max(self.max, v)
+            self._add(math.frexp(max(v, 0.0))[1], 1)
+            return
         values = np.atleast_1d(np.asarray(value, dtype=np.float64))
         if values.size == 0:
             return
@@ -114,11 +126,17 @@ class Histogram:
         self.total += float(values.sum())
         self.min = min(self.min, float(values.min()))
         self.max = max(self.max, float(values.max()))
-        # bucket index = position of the highest set bit of floor(v)
-        exps = np.frexp(np.maximum(values, 0.0))[1]  # v in [2^(e-1), 2^e)
-        for e, n in zip(*np.unique(exps, return_counts=True)):
-            upper = float(2.0 ** int(e))
-            self.buckets[upper] = self.buckets.get(upper, 0) + int(n)
+        exps = np.frexp(np.maximum(values, 0.0))[1]
+        low = int(exps.min())
+        counts = np.bincount(exps - low)
+        for e in np.flatnonzero(counts):
+            self._add(int(e) + low, int(counts[e]))
+
+    def _add(self, exp: int, n: int) -> None:
+        """Count ``n`` values in ``[2^(exp-1), 2^exp)`` (``frexp``'s
+        exponent: the position of the highest set bit of ``floor(v)``)."""
+        upper = float(2.0 ** exp)
+        self.buckets[upper] = self.buckets.get(upper, 0) + n
 
     @property
     def mean(self) -> float:

@@ -16,6 +16,7 @@ import pytest
 from repro.dsm.comm import Communicator
 from repro.dsm.whole_tensor import WholeTensor
 from repro.hardware import SimNode
+from repro.ops import hashtable
 from repro.ops.gather import distributed_memory_gather
 from repro.ops.hashtable import EMPTY_KEY, GpuHashTable
 from repro.ops.segment import segment_sum
@@ -307,6 +308,80 @@ def test_insert_full_table_raises_like_reference():
         fast.insert(keys, 0)
     with pytest.raises(RuntimeError):
         _loop_reference_insert(ref, keys, 0)
+    assert np.array_equal(fast.keys, ref.keys)
+    assert np.array_equal(fast.values, ref.values)
+    assert fast.size == ref.size == fast.capacity
+
+
+def _spy_tail(monkeypatch):
+    """Record ``(pending lanes, rounds so far)`` at each probe-tail entry."""
+    entries = []
+    tail = GpuHashTable._probe_tail
+
+    def spy(self, keys, pending, cur, *rest):
+        entries.append((int(cur.size), int(rest[-2])))
+        return tail(self, keys, pending, cur, *rest)
+
+    monkeypatch.setattr(GpuHashTable, "_probe_tail", spy)
+    return entries
+
+
+def _colliding_keys(table, n, span):
+    """``n`` distinct keys homed in the first ``span`` slots, plus repeats."""
+    pool = np.arange(1, 200 * table.capacity, dtype=np.int64)
+    keys = pool[table._home_slot(pool) < span][:n]
+    assert keys.size == n
+    return keys
+
+
+@pytest.mark.parametrize("bucket_size", [4, 16])
+@pytest.mark.parametrize("over", [0, 1])
+def test_insert_tail_threshold_edges_match_reference(
+    monkeypatch, bucket_size, over
+):
+    """Exactly ``PROBE_TAIL_LANES`` pending lanes go straight to the scalar
+    tail; one more runs a vectorised round first, then the tail."""
+    n = hashtable.PROBE_TAIL_LANES + over
+    fast, ref = _table_pair(64, bucket_size, seed=2)
+    entries = _spy_tail(monkeypatch)
+    keys = _colliding_keys(fast, n, span=4)
+    _assert_insert_matches_reference(fast, ref, keys, np.arange(n))
+    lanes, before = entries[0]
+    if over:
+        assert before >= 1 and lanes <= hashtable.PROBE_TAIL_LANES
+    else:
+        assert (lanes, before) == (n, 0)
+    # re-inserting the keys with repeats: every lane finds its key
+    again = np.concatenate([keys, keys[::3]])
+    _, found, _ = _assert_insert_matches_reference(fast, ref, again, -1)
+    assert found.all()
+
+
+@pytest.mark.parametrize("tail_lanes", [0, 10**9])
+def test_insert_matches_reference_vectorised_or_scalar_only(
+    monkeypatch, seeded_rng, tail_lanes
+):
+    """With the tail off, or taking whole inserts, the layout is the same."""
+    monkeypatch.setattr(hashtable, "PROBE_TAIL_LANES", tail_lanes)
+    for bucket_size in (4, 128):
+        fast, ref = _table_pair(256, bucket_size, seed=1)
+        keys = seeded_rng.integers(0, 60, size=400)
+        _assert_insert_matches_reference(fast, ref, keys, np.arange(400))
+        more = np.concatenate([keys[:50], seeded_rng.integers(60, 140, 60)])
+        _assert_insert_matches_reference(fast, ref, more, EMPTY_KEY)
+
+
+def test_insert_full_table_tail_raises_like_reference(monkeypatch):
+    """A table that fills while the tail runs raises with the reference's
+    state: every claimed slot keyed and valued, ``size`` at capacity."""
+    fast, ref = _table_pair(32, 4)
+    entries = _spy_tail(monkeypatch)
+    keys = np.arange(500, 500 + fast.capacity + 3, dtype=np.int64)
+    with pytest.raises(RuntimeError):
+        fast.insert(keys, np.arange(keys.size))
+    with pytest.raises(RuntimeError):
+        _loop_reference_insert(ref, keys, np.arange(keys.size))
+    assert entries and entries[0][1] >= 1
     assert np.array_equal(fast.keys, ref.keys)
     assert np.array_equal(fast.values, ref.values)
     assert fast.size == ref.size == fast.capacity

@@ -61,6 +61,49 @@ def test_histogram_vectorised_observe():
     assert h.buckets == {2.0: 1, 4.0: 2, 8.0: 1, 1024.0: 1}
 
 
+class _UniqueHistogram(Histogram):
+    """The array-only ``observe`` (frexp + ``np.unique``) the scalar fast
+    path and the ``np.bincount`` bucketing must reproduce."""
+
+    def observe(self, value) -> None:
+        values = np.atleast_1d(np.asarray(value, dtype=np.float64))
+        if values.size == 0:
+            return
+        self.count += int(values.size)
+        self.total += float(values.sum())
+        self.min = min(self.min, float(values.min()))
+        self.max = max(self.max, float(values.max()))
+        exps = np.frexp(np.maximum(values, 0.0))[1]
+        for e, n in zip(*np.unique(exps, return_counts=True)):
+            upper = float(2.0 ** int(e))
+            self.buckets[upper] = self.buckets.get(upper, 0) + int(n)
+
+
+def test_histogram_fast_paths_match_array_reference(seeded_rng):
+    observations = [
+        7, 0, -3, 2.5, 0.0, -0.0, 1e-9, 3e12, 2**40 + 1, True,
+        np.int64(1025), np.int32(-8), np.float32(0.75), np.float64(6e-4),
+        np.array([], dtype=np.int64), [],
+        np.arange(-5, 300), seeded_rng.integers(0, 10**6, size=500),
+        seeded_rng.exponential(size=400) * 1e-3,
+        np.zeros(9), -seeded_rng.random(20), np.array([0.5, 1.0, 1.5, 2.0]),
+        np.int64(-1), 3,
+    ]
+    fast, ref = Histogram("h"), _UniqueHistogram("h")
+    for value in observations:
+        fast.observe(value)
+        ref.observe(value)
+        assert fast.as_dict() == ref.as_dict()
+        assert list(fast.as_dict()["buckets"]) == list(
+            ref.as_dict()["buckets"]
+        )
+    # empty input alone leaves an empty snapshot
+    empty, ref_empty = Histogram("e"), _UniqueHistogram("e")
+    empty.observe([])
+    ref_empty.observe([])
+    assert empty.as_dict() == ref_empty.as_dict()
+
+
 def test_histogram_empty_snapshot_is_json_safe(registry):
     h = registry.histogram("never_observed")
     d = h.as_dict()
